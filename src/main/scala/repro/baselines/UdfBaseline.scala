@@ -3,6 +3,7 @@ package repro.baselines
 import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, ObjectOutputStream}
 
 import org.apache.spark.sql.DataFrame
+import repro.catalyst.TrendCollector
 import repro.core._
 
 /** UDF execution model simulation (§8's UDF baseline).
@@ -11,11 +12,12 @@ import repro.core._
   * GROUPING SETS) and compares trends inside the database process, with two
   * structural handicaps the paper calls out: every aggregate row is
   * marshalled into the UDF invocation, and the UDF body runs sequentially
-  * with limited resources. We reproduce both: aggregation runs on Spark
-  * (per-(g,m) group-bys — GROUPING SETS-equivalent input), all rows pass
-  * through Java serialization (the marshalling analogue), and the comparison
-  * runs single-threaded on the driver. The comparison itself *does* use
-  * trendwise processing and segment-aggregate pruning, as in the paper.
+  * with limited resources. We reproduce both: Spark computes the union of
+  * all group-by aggregates in one pass ([[TrendCollector]] — the GROUPING
+  * SETS input), all rows pass through Java serialization (the marshalling
+  * analogue), and the comparison runs single-threaded on the driver. The
+  * comparison itself *does* use trendwise processing and segment-aggregate
+  * pruning, as in the paper.
   */
 object UdfBaseline {
 
@@ -24,9 +26,8 @@ object UdfBaseline {
 
   def topK(df: DataFrame, spec: CompareSpec, k: TopK,
            cfg: PrunedTopK.Config = PrunedTopK.Config()): Result = {
-    // Aggregate input (the GROUPING SETS union) computed by the engine,
-    // without COMPARE's merging optimization.
-    val (t1, t2) = TrendwiseExec.collectTrends(df, spec, merge = false)
+    // Aggregate input (the GROUPING SETS union) computed by the engine.
+    val (t1, t2) = TrendCollector.collect(df, spec)
     // Marshal the whole aggregate input through serialization, as a UDF
     // invocation would.
     val (t1m, b1) = roundTrip(t1)

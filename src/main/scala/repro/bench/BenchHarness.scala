@@ -50,7 +50,7 @@ object BenchHarness {
   def runMergedOnly(df: DataFrame, q: Query, stats: Option[Stats] = None): Double =
     try best2 {
       topKCollect(Compare.all(df, q.spec, Compare.ExecStrategy.MergedOnly, stats), q.topK)
-    } finally TrendwiseExec.clearSpools()
+    } finally Relations.clearSpools()
 
   /** Sharing + trendwise partitioned comparison, exhaustive scoring
     * (ablation stage 3): one shared scan builds the trends, then pairs are

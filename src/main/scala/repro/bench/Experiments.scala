@@ -222,7 +222,7 @@ object Experiments {
   def segmentSweep(spark: SparkSession): Seq[SegRow] = {
     val df = materialize(flightData(spark))
     val q = Workloads.flightQ2
-    val (t1, t2) = TrendwiseExec.collectTrends(df, q.spec, merge = false)
+    val (t1, t2) = TrendCollector.collect(df, q.spec)
     val sturgesL = TrendModel.sturges(FlightDays)
     val rows = (Seq(1, 2, 4, sturgesL, 16, 32, 64).distinct.sorted).map { l =>
       val cfg = PrunedTopK.Config(numSegments = Some(l))

@@ -327,25 +327,3 @@ object ReduceToCompare extends Rule[LogicalPlan] {
     Some(Project(projections, cmp))
   }
 }
-
-/** R4 — commutativity of chained COMPAREs on the same partitioning attribute
-  * (Table 3): execute the more selective comparison first. Chained COMPAREs
-  * are a sequential filter pipeline over trends, so this is an ordering
-  * decision; the estimator prefers the stage that retains the fewest trends.
-  */
-object CompareChain {
-  /** Selectivity estimate of one stage: fraction of candidate trends its
-    * top-k retains.
-    */
-  def selectivity(spec: CompareSpec, topK: TopK, trendCount: Long): Double = {
-    val pairs = spec.pairMode match {
-      case PairMode.SymmetricConstraint => trendCount.toDouble * (trendCount - 1) / 2
-      case _                            => trendCount.toDouble
-    }
-    if (pairs <= 0) 1.0 else math.min(1.0, topK.k / pairs)
-  }
-
-  /** Order the stages most-selective first (ties keep original order). */
-  def reorder(stages: Seq[(CompareSpec, TopK)], trendCount: Long): Seq[(CompareSpec, TopK)] =
-    stages.sortBy { case (s, k) => selectivity(s, k, trendCount) }
-}

@@ -11,9 +11,8 @@ import repro.core._
   * `(sum, count, min, max)` per (side, (g,m), trend, grouping value) with
   * partition-local hash aggregation, then trends are assembled per key.
   *
-  * Used by [[CompareTopKExec]] (over its physical child) and by
-  * [[TrendCollector]] (over a DataFrame, for the driver-side API and the
-  * ablation benches).
+  * The only trend builder: used by [[CompareTopKExec]] (over its physical
+  * child) and by [[TrendCollector]] (over a DataFrame).
   */
 private[catalyst] object TrendAggregation {
 
@@ -50,6 +49,7 @@ private[catalyst] object TrendAggregation {
     // Keys are flat \u0001-separated strings: far cheaper to serialize in
     // the shuffle than nested tuples, which dominates at high key cardinality.
     val Sep = '\u0001'
+    val SepStr = Sep.toString
     val entries = rdd.mapPartitions { it =>
       val acc = new java.util.HashMap[String, Array[Double]]()
       it.foreach { row =>
@@ -104,7 +104,8 @@ private[catalyst] object TrendAggregation {
     val nC2 = spec.t2.constraint.size
     val perTrend = reduced
       .map { case (key, st) =>
-        val parts = key.split(Sep)
+        // limit -1: keep a trailing empty grouping value.
+        val parts = key.split(SepStr, -1)
         val side = parts(0).toInt
         val gm = parts(1).toInt
         val nC = if (side == 1 || singleSided) nC1 else nC2
@@ -134,8 +135,8 @@ private[catalyst] object TrendAggregation {
   }
 }
 
-/** DataFrame-level entry to the shared-scan trend builder — the fast path for
-  * driver-side top-k (benches, baselines wanting engine-computed aggregates).
+/** DataFrame-level entry to the shared-scan trend builder, for driver-side
+  * top-k (`Compare.topK`, the UDF baseline, the benches).
   */
 object TrendCollector {
   def collect(df: DataFrame, spec: CompareSpec): (Seq[TrendRow], Seq[TrendRow]) = {

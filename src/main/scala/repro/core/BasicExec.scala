@@ -17,11 +17,32 @@ import org.apache.spark.sql.functions._
 object BasicExec {
 
   /** Full pair scoring in the core output schema of [[CompareOutput]]. */
-  def run(df: DataFrame, spec: CompareSpec): DataFrame = {
+  def run(df: DataFrame, spec: CompareSpec): DataFrame =
+    scorePairs(df, spec,
+      i => Relations.trendRel(df, spec.t1, spec.t1.gms(i), side = 1),
+      j => Relations.trendRel(df, spec.t2, spec.t2.gms(j), side = 2))
+
+  /** The same plan over shared (merged) group-by aggregates, still with
+    * trendset-granularity joins — isolates the merging optimization for the
+    * §8.1 ablation.
+    */
+  private[core] def runMerged(df: DataFrame, spec: CompareSpec, stats: Option[Stats]): DataFrame = {
+    val (rels1raw, rels2) = Relations.mergedRels(df, spec, stats)
+    // Spool the per-(g,m) trend relations: they are shared sub-plans (each
+    // feeds a pairwise join, and for symmetric trendsets both join sides).
+    // The cache substitution applies to rels2's renamed lineage as well.
+    val rels1 = rels1raw.map { case (i, r) => i -> Relations.spool(r) }
+    scorePairs(df, spec, rels1, rels2)
+  }
+
+  /** Steps 2–4 over each side's per-(g, m) trend relations (columns as in
+    * [[Relations.trendRel]]).
+    */
+  private def scorePairs(df: DataFrame, spec: CompareSpec,
+                         rel1: Int => DataFrame, rel2: Int => DataFrame): DataFrame = {
     val perGm = spec.comparableGmPairs.map { case (i, j) =>
       val gm1 = spec.t1.gms(i); val gm2 = spec.t2.gms(j)
-      val left  = Relations.trendRel(df, spec.t1, gm1, side = 1)
-      val right = Relations.trendRel(df, spec.t2, gm2, side = 2)
+      val left = rel1(i); val right = rel2(j)
       val joined = left.join(right, Relations.pairCondition(spec, left, right))
       val cCols = (CompareOutput.c1Cols(spec) ++ CompareOutput.c2Cols(spec)).map(col)
       joined
@@ -38,7 +59,7 @@ object BasicExec {
   /** Zero comparable (g, m) pairs (e.g. a cross-measure spec with a single
     * (g, m)): an empty relation in the COMPARE output schema.
     */
-  private[core] def emptyResult(df: DataFrame, spec: CompareSpec): DataFrame =
+  private def emptyResult(df: DataFrame, spec: CompareSpec): DataFrame =
     df.sparkSession.createDataFrame(
       df.sparkSession.sparkContext.emptyRDD[org.apache.spark.sql.Row],
       CompareOutput.schema(spec))

@@ -1,20 +1,19 @@
 package repro.core
 
 import org.apache.spark.sql.{Column, DataFrame}
-import org.apache.spark.sql.functions._
+import repro.catalyst.{CompareSession, TrendCollector}
 
 /** DataFrame-level entry points for COMPARE.
   *
-  * Mirrors the logical-to-physical pipeline of §4–§5 while staying
-  * independent of session-level rule installation, so every ablation stage is
-  * runnable on its own (used directly by the benchmarks):
+  * Mirrors the logical-to-physical pipeline of §4–§5 so every ablation stage
+  * is runnable on its own (used directly by the benchmarks):
   *
   *   - [[ExecStrategy.Basic]]       — §4.1 plan (the unmodified-engine baseline)
   *   - [[ExecStrategy.MergedOnly]]  — + shared (merged) group-by aggregates,
   *                                    still trendset-granularity joins
-  *   - [[ExecStrategy.Trendwise]]   — + per-trend partitioning and pairwise
-  *                                    comparison (no aggregate sharing)
-  *   - [[ExecStrategy.Full]]        — merged + trendwise (§4.2 final plan)
+  *   - [[ExecStrategy.Full]]        — the COMPARE operator: one shared scan
+  *                                    builds every trend, then pairs are
+  *                                    scored trendwise (§4.2 final plan)
   *
   * Top-k selection additionally applies the Φp pruning operator (§5).
   */
@@ -24,55 +23,26 @@ object Compare {
   object ExecStrategy {
     case object Basic      extends ExecStrategy
     case object MergedOnly extends ExecStrategy
-    case object Trendwise  extends ExecStrategy
     case object Full       extends ExecStrategy
   }
 
   /** Score all comparable trend pairs; result in the [[CompareOutput]] core
-    * schema.
+    * schema. `stats` feeds [[MergeOptimizer]] for the MergedOnly strategy.
     */
   def all(df: DataFrame, spec: CompareSpec,
           strategy: ExecStrategy = ExecStrategy.Full,
           stats: Option[Stats] = None): DataFrame = strategy match {
     case ExecStrategy.Basic      => BasicExec.run(df, spec)
-    case ExecStrategy.MergedOnly => mergedOnly(df, spec, stats)
-    case ExecStrategy.Trendwise  => TrendwiseExec.run(df, spec, merge = false)
-    case ExecStrategy.Full       => TrendwiseExec.run(df, spec, merge = true, stats)
-  }
-
-  /** Shared aggregates but trendset-granularity joins — isolates the merging
-    * optimization for the §8.1 ablation.
-    */
-  private def mergedOnly(df: DataFrame, spec: CompareSpec, stats: Option[Stats]): DataFrame = {
-    val (rels1raw, rels2) = TrendwiseExec.bothSideRels(df, spec, merge = true, stats)
-    // Spool the per-(g,m) trend relations: they are shared sub-plans (each
-    // feeds a pairwise join, and for symmetric trendsets both join sides).
-    // The cache substitution applies to rels2's renamed lineage as well.
-    val rels1 = rels1raw.map { case (i, r) => i -> TrendwiseExec.spool(r) }
-    val perGm = spec.comparableGmPairs.map { case (i, j) =>
-      val gm1 = spec.t1.gms(i); val gm2 = spec.t2.gms(j)
-      val left = rels1(i); val right = rels2(j)
-      val joined = left.join(right, Relations.pairCondition(spec, left, right))
-      val cCols = (CompareOutput.c1Cols(spec) ++ CompareOutput.c2Cols(spec)).map(col)
-      joined
-        .groupBy(cCols: _*)
-        .agg(Relations.scoreAgg(spec.scorer, col("__v1") - col("__v2")).as("score"))
-        .withColumn("grouping", lit(gm1.grouping))
-        .withColumn("measure_1", lit(gm1.measureLabel))
-        .withColumn("measure_2", lit(gm2.measureLabel))
-        .select(CompareOutput.columns(spec).map(col): _*)
-    }
-    if (perGm.isEmpty) BasicExec.emptyResult(df, spec) else perGm.reduce(_.unionAll(_))
+    case ExecStrategy.MergedOnly => BasicExec.runMerged(df, spec, stats)
+    case ExecStrategy.Full       => CompareSession.compare(df, spec, None)
   }
 
   /** Top-k pairs via the pruning operator Φp; returns the result (core
     * schema) plus pruning statistics.
     */
   def topK(df: DataFrame, spec: CompareSpec, k: TopK,
-           cfg: PrunedTopK.Config = PrunedTopK.Config(),
-           merge: Boolean = true,
-           stats: Option[Stats] = None): (DataFrame, PrunedTopK.PruneStats) = {
-    val (t1, t2) = TrendwiseExec.collectTrends(df, spec, merge, stats)
+           cfg: PrunedTopK.Config = PrunedTopK.Config()): (DataFrame, PrunedTopK.PruneStats) = {
+    val (t1, t2) = TrendCollector.collect(df, spec)
     val res = PrunedTopK.run(spec, t1, t2, k, cfg)
     (CompareOutput.toDf(df.sparkSession, spec, res.pairs), res.stats)
   }

@@ -13,13 +13,6 @@ import java.util.BitSet
   */
 object TrendModel {
 
-  /** |d|^p with fast paths for the ubiquitous p ∈ {1, 2}. */
-  @inline private def powP(d: Double, p: Int): Double = p match {
-    case 1 => math.abs(d)
-    case 2 => d * d
-    case _ => math.pow(math.abs(d), p)
-  }
-
   /** Sturges' formula for the number of segments (§5.1): ⌊1 + log2(n)⌋. */
   def sturges(n: Int): Int = math.max(1, 1 + (math.log(math.max(n, 1)) / math.log(2)).floor.toInt)
 
@@ -72,12 +65,6 @@ object TrendModel {
     val n: Int = codes.length
     /** Dense = one tuple for every dictionary value (the common OLAP case). */
     val dense: Boolean = n == seg.domain
-    /** First tuple index at or after dictionary code `code`. */
-    def lowerBound(code: Int): Int = {
-      var lo = 0; var hi = n
-      while (lo < hi) { val mid = (lo + hi) >>> 1; if (codes(mid) < code) lo = mid + 1 else hi = mid }
-      lo
-    }
   }
 
   def buildTrend(row: TrendRow, dict: GroupingDict, seg: Segmentation): SegTrend = {
@@ -102,7 +89,8 @@ object TrendModel {
     new SegTrend(row.gm, row.c, codes, values, segs, bitmap, seg)
   }
 
-  private def lowerBoundArr(codes: Array[Int], code: Int): Int = {
+  /** First index of sorted `codes` at or after dictionary code `code`. */
+  def lowerBoundArr(codes: Array[Int], code: Int): Int = {
     var lo = 0; var hi = codes.length
     while (lo < hi) { val mid = (lo + hi) >>> 1; if (codes(mid) < code) lo = mid + 1 else hi = mid }
     lo
@@ -125,13 +113,13 @@ object TrendModel {
       }
     if (matched == 0) return SegBound(0.0, 0.0, 0)
     val maxDiff = math.max(math.abs(a.max - b.min), math.abs(b.max - a.min))
-    val upper = matched * powP(maxDiff, p)
+    val upper = matched * Scorer.powAbs(maxDiff, p)
     // Theorem 1 lower bound is valid only when the averaged tuples are exactly
     // the matched tuples (both segments fully matched); otherwise fall back to
     // the always-sound 0.
     val lower =
       if (matched == a.count && matched == b.count)
-        matched * powP(a.avg - b.avg, p)
+        matched * Scorer.powAbs(a.avg - b.avg, p)
       else 0.0
     SegBound(lower, upper, matched)
   }
@@ -142,13 +130,13 @@ object TrendModel {
     */
   def exactSegment(t1: SegTrend, t2: SegTrend, s: Int, p: Int): (Double, Int, Int) = {
     val lo = t1.seg.lo(s); val hi = t1.seg.hi(s)
-    var i = t1.lowerBound(lo); var j = t2.lowerBound(lo)
+    var i = lowerBoundArr(t1.codes, lo); var j = lowerBoundArr(t2.codes, lo)
     var sum = 0.0; var matched = 0; var touched = 0
     while (i < t1.n && j < t2.n && t1.codes(i) < hi && t2.codes(j) < hi) {
       touched += 1
       val ci = t1.codes(i); val cj = t2.codes(j)
       if (ci == cj) {
-        sum += powP(t1.values(i) - t2.values(j), p)
+        sum += Scorer.powAbs(t1.values(i) - t2.values(j), p)
         matched += 1; i += 1; j += 1
       } else if (ci < cj) i += 1
       else j += 1

@@ -69,16 +69,18 @@ final case class TrendsetSpec(constraint: Seq[ConstraintTerm], gms: Seq[Grouping
 final case class Scorer(agg: AggKind, p: Int) {
   require(p >= 1, s"DIFF exponent must be positive, got $p")
   def label: String = s"${agg.sql} OVER DIFF($p)"
-  /** DIFF(m1, m2, p) = |m1 - m2|^p (Definition 7). p ∈ {1, 2} (Manhattan /
-    * Euclidean) avoid `math.pow` — they dominate the comparison inner loop.
+  /** DIFF(m1, m2, p) = |m1 - m2|^p (Definition 7). */
+  def diff(m1: Double, m2: Double): Double = Scorer.powAbs(m1 - m2, p)
+}
+
+object Scorer {
+  /** |d|^p. p ∈ {1, 2} (Manhattan / Euclidean) avoid `math.pow` — they
+    * dominate the comparison inner loop and the bound computations of Φp.
     */
-  def diff(m1: Double, m2: Double): Double = {
-    val d = math.abs(m1 - m2)
-    p match {
-      case 1 => d
-      case 2 => d * d
-      case _ => math.pow(d, p)
-    }
+  @inline def powAbs(d: Double, p: Int): Double = p match {
+    case 1 => math.abs(d)
+    case 2 => d * d
+    case _ => math.pow(math.abs(d), p)
   }
 }
 
@@ -172,3 +174,8 @@ final case class CompareSpec(t1: TrendsetSpec, t2: TrendsetSpec, scorer: Scorer)
   * @param gm2 index into spec.t2.gms of the second trend's (g,m)
   */
 final case class ScoredPair(c1: Seq[String], c2: Seq[String], gm1: Int, gm2: Int, score: Double)
+
+/** A collected trend: its (g, m) index, constraint values, and the
+  * grouping-value → aggregated-measure map (§2.2.1's `(c)(g, m)`).
+  */
+final case class TrendRow(gm: Int, c: Seq[String], data: Map[String, Double])

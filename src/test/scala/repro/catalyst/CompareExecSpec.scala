@@ -64,6 +64,31 @@ class CompareExecSpec extends SparkSpec {
       BasicExec.run(sales, spec))
   }
 
+  test("empty-string constraint and grouping values match basic and the oracle") {
+    // The trend builder's shuffle key ends with the grouping value, so an
+    // empty one must survive splitting the key.
+    val values = Seq("", "A", "B", "C")
+    val df = spark.createDataFrame(for {
+      (city, ci) <- values.zipWithIndex
+      (week, wi) <- values.zipWithIndex
+    } yield (city, week, (ci + 1) * (wi + 1) + 0.37 * ci * ci)).toDF("city", "week", "revenue")
+    val ts = TrendsetSpec(Seq(ConstraintTerm("city", None)),
+      Seq(GroupingMeasure("week", AggKind.Sum, "revenue")))
+    val spec = CompareSpec(ts, ts, Specs.scorer())
+    val basic = BasicExec.run(df, spec)
+    assert(basic.count() == 4 * 3 / 2)
+    TestUtil.checkOracle(basic, spec, "t", df)
+
+    val all = CompareSession.compare(df, spec, None)
+    TestUtil.assertSameResult(all, basic)
+    TestUtil.checkOracle(all, spec, "t", df)
+
+    val k = TopK(2, ascending = true)
+    val expect = basic.orderBy("score").limit(k.k)
+    TestUtil.assertSameResult(CompareSession.compare(df, spec, Some(k)), expect)
+    TestUtil.assertSameResult(Compare.topK(df, spec, k)._1, expect)
+  }
+
   test("operator resolves columns case-insensitively") {
     val upper = sales.toDF(sales.columns.map(_.toUpperCase): _*)
     val df = CompareSession.compare(upper, Specs.symCities(), None)

@@ -186,20 +186,4 @@ class RulesSpec extends SparkSpec {
       TestUtil.assertSameResult(df, expect)
     } finally CompareSession.uninstallR5(spark)
   }
-
-  // ---------------------------------------------------------------- R4
-
-  test("R4 orders chained COMPAREs most-selective first") {
-    val loose = (Specs.symCities(), TopK(20, ascending = true))
-    val tight = (Specs.symCities(), TopK(1, ascending = true))
-    val ordered = CompareChain.reorder(Seq(loose, tight), trendCount = 8)
-    assert(ordered == Seq(tight, loose))
-  }
-
-  test("R4 selectivity scales with pair count") {
-    val sel1 = CompareChain.selectivity(Specs.symCities(), TopK(1, ascending = true), 100)
-    val sel2 = CompareChain.selectivity(Specs.symCities(), TopK(1, ascending = true), 10)
-    assert(sel1 < sel2)
-  }
-
 }

@@ -1,5 +1,6 @@
 package repro.core
 
+import repro.catalyst.TrendCollector
 import repro.{SparkSpec, TestData, TestUtil}
 
 /** Correctness of the Φp pruning operator (§5): top-k selection must agree
@@ -15,14 +16,14 @@ class PrunedTopKSpec extends SparkSpec {
     * trends (pruning off), then sort/take k.
     */
   private def bruteForce(spec: CompareSpec, k: TopK): Seq[ScoredPair] = {
-    val (t1, t2) = TrendwiseExec.collectTrends(sales, spec, merge = false)
+    val (t1, t2) = TrendCollector.collect(sales, spec)
     PrunedTopK.run(spec, t1, t2, k,
       PrunedTopK.Config(usePruning = false)).pairs
   }
 
   private def pruned(spec: CompareSpec, k: TopK,
                      cfg: PrunedTopK.Config = PrunedTopK.Config()): PrunedTopK.Result = {
-    val (t1, t2) = TrendwiseExec.collectTrends(sales, spec, merge = false)
+    val (t1, t2) = TrendCollector.collect(sales, spec)
     PrunedTopK.run(spec, t1, t2, k, cfg)
   }
 

@@ -3,9 +3,9 @@ package repro.core
 import repro.{SparkSpec, TestData, TestUtil}
 
 /** The §4.2 optimizations are rewrites, not semantic changes: merged-aggregate
-  * and trendwise/partitioned execution must produce exactly the basic plan's
-  * result on every grid point, and the trendwise path is additionally
-  * oracle-checked.
+  * execution and the trendwise COMPARE operator must produce exactly the
+  * basic plan's result on every grid point, and the trendwise path is
+  * additionally oracle-checked.
   */
 class StrategyEquivalenceSpec extends SparkSpec {
 
@@ -26,12 +26,6 @@ class StrategyEquivalenceSpec extends SparkSpec {
     test(s"merged-only == basic: $name") {
       TestUtil.assertSameResult(
         Compare.all(sales, spec, Compare.ExecStrategy.MergedOnly, Some(stats)),
-        Compare.all(sales, spec, Compare.ExecStrategy.Basic),
-        name)
-    }
-    test(s"trendwise-without-merging == basic: $name") {
-      TestUtil.assertSameResult(
-        Compare.all(sales, spec, Compare.ExecStrategy.Trendwise),
         Compare.all(sales, spec, Compare.ExecStrategy.Basic),
         name)
     }

@@ -178,8 +178,8 @@ class TrendModelSpec extends AnyFunSuite {
     val keys = (1 to 10).map(_.toString)
     val (d, s) = dictAndSeg(keys, 2)
     val t = mkTrend(0, "a", Map("2" -> 1.0, "5" -> 2.0, "9" -> 3.0), d, s)
-    assert(t.lowerBound(0) == 0)
-    assert(t.lowerBound(d.index("5")) == 1)
-    assert(t.lowerBound(d.index("9") + 1) == 3)
+    assert(lowerBoundArr(t.codes, 0) == 0)
+    assert(lowerBoundArr(t.codes, d.index("5")) == 1)
+    assert(lowerBoundArr(t.codes, d.index("9") + 1) == 3)
   }
 }

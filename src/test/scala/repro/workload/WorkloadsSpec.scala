@@ -1,5 +1,6 @@
 package repro.workload
 
+import repro.catalyst.TrendCollector
 import repro.core._
 import repro.flight.FlightData
 import repro.tpcds.WebSalesData
@@ -52,7 +53,7 @@ class WorkloadsSpec extends SparkSpec {
         Compare.all(flight, q.spec, Compare.ExecStrategy.Basic), q.id)
     }
     test(s"${q.id} pruned top-k == exhaustive top-k") {
-      val (t1, t2) = TrendwiseExec.collectTrends(flight, q.spec, merge = false)
+      val (t1, t2) = TrendCollector.collect(flight, q.spec)
       val fast = PrunedTopK.run(q.spec, t1, t2, q.topK)
       val slow = PrunedTopK.run(q.spec, t1, t2, q.topK, PrunedTopK.Config(usePruning = false))
       assert(TestUtil.scoreBag(fast.pairs) == TestUtil.scoreBag(slow.pairs))
@@ -69,7 +70,7 @@ class WorkloadsSpec extends SparkSpec {
 
   test("TPCDS Q4 pruned top-k == exhaustive") {
     val q = Workloads.tpcdsQ4
-    val (t1, t2) = TrendwiseExec.collectTrends(websales, q.spec, merge = false)
+    val (t1, t2) = TrendCollector.collect(websales, q.spec)
     val fast = PrunedTopK.run(q.spec, t1, t2, q.topK)
     val slow = PrunedTopK.run(q.spec, t1, t2, q.topK, PrunedTopK.Config(usePruning = false))
     assert(TestUtil.scoreBag(fast.pairs) == TestUtil.scoreBag(slow.pairs))
