@@ -4,7 +4,8 @@ import org.apache.spark.sql.catalyst.plans.logical.LogicalPlan
 
 /** Narrow bridge to `private[sql]` members of the classic Spark session —
   * the reproduction needs to wrap a hand-built logical plan into a DataFrame
-  * ([[classic.Dataset.ofRows]]) and to read a DataFrame's analyzed plan.
+  * ([[classic.Dataset.ofRows]]), to read a DataFrame's plans, and to plan and
+  * collect the trend aggregate.
   */
 object ReproBridge {
   def ofRows(spark: SparkSession, plan: LogicalPlan): DataFrame =
@@ -22,10 +23,13 @@ object ReproBridge {
   def sqlParser(spark: SparkSession): org.apache.spark.sql.catalyst.parser.ParserInterface =
     spark.asInstanceOf[classic.SparkSession].sessionState.sqlParser
 
-  /** InternalRow RDD of a DataFrame plus the attributes describing its rows. */
-  def internalRdd(df: DataFrame): (org.apache.spark.rdd.RDD[org.apache.spark.sql.catalyst.InternalRow],
-                                   Seq[org.apache.spark.sql.catalyst.expressions.Attribute]) = {
+  def planner(spark: SparkSession): org.apache.spark.sql.execution.SparkPlanner =
+    spark.asInstanceOf[classic.SparkSession].sessionState.planner
+
+  /** A DataFrame's rows as `InternalRow`s, collected in one SQL execution. */
+  def executeCollect(df: DataFrame): Array[org.apache.spark.sql.catalyst.InternalRow] = {
     val qe = df.asInstanceOf[classic.Dataset[Row]].queryExecution
-    (qe.toRdd, qe.analyzed.output)
+    org.apache.spark.sql.execution.SQLExecution.withNewExecutionId(qe, Some("collect"))(
+      qe.executedPlan.executeCollect())
   }
 }

@@ -3,7 +3,7 @@ package repro.bench
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.col
 import repro.baselines.{MiddlewareBaseline, UdfBaseline}
-import repro.catalyst.{CompareSession, CompareTopKExec}
+import repro.catalyst.CompareSession
 import repro.core._
 import repro.workload.Workloads.Query
 
@@ -80,9 +80,6 @@ object BenchHarness {
                     bandwidthMBps: Double = MiddlewareBandwidthMBps): Double = time {
     MiddlewareBaseline.topK(df, q.spec, q.topK, bandwidthMBps)
   }._2
-
-  /** Pruning stats of the most recent COMPARE physical execution. */
-  def lastStats: Option[PrunedTopK.PruneStats] = CompareTopKExec.lastStats
 
   private def topKCollect(scored: DataFrame, k: TopK): Array[_] =
     scored.orderBy(if (k.ascending) col("score").asc else col("score").desc)

@@ -337,8 +337,9 @@ object Experiments {
         "every DOP."))
 
     val memRows = Workloads.flightQueries.map { qq =>
-      runCompare(df, qq)
-      qq.id -> lastStats.map(_.summaryBytes).getOrElse(0L)
+      val compared = CompareSession.compare(df, qq.spec, Some(qq.topK))
+      compared.collect()
+      qq.id -> CompareTopKExec.in(compared).fold(0L)(_.metrics("summarySize").value)
     }
     val inputBytes = FlightAirports.toLong * FlightDays * FlightRowsPerCell * 60
     table("Fig. 15b (repro): Φp summary-structure memory overhead",

@@ -1,7 +1,7 @@
 package repro.catalyst
 
 import org.apache.spark.sql.{DataFrame, ReproBridge, SparkSession, SparkSessionExtensions}
-import repro.core.{CompareSpec, PrunedTopK, TopK}
+import repro.core.{CompareSpec, TopK}
 
 /** Installs the COMPARE extensions on a session.
   *
@@ -23,7 +23,7 @@ object CompareSession {
 
   def install(spark: SparkSession, withR5: Boolean = false): Unit = synchronized {
     if (!spark.experimental.extraStrategies.exists(_.isInstanceOf[CompareStrategy]))
-      spark.experimental.extraStrategies = new CompareStrategy() +: spark.experimental.extraStrategies
+      spark.experimental.extraStrategies = new CompareStrategy(spark) +: spark.experimental.extraStrategies
     val rules = baseRules ++ (if (withR5) Seq(ReduceToCompare) else Nil)
     val present = spark.experimental.extraOptimizations.toSet
     spark.experimental.extraOptimizations =
@@ -52,7 +52,7 @@ object CompareSession {
   */
 class CompareExtensions extends (SparkSessionExtensions => Unit) {
   override def apply(ext: SparkSessionExtensions): Unit = {
-    ext.injectPlannerStrategy(_ => new CompareStrategy(PrunedTopK.Config()))
+    ext.injectPlannerStrategy(session => new CompareStrategy(session))
     ext.injectOptimizerRule(_ => PushCompareBelowJoin)
     ext.injectOptimizerRule(_ => PushFilterBelowCompare)
     ext.injectOptimizerRule(_ => DedupBelowCompare)

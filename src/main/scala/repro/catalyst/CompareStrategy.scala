@@ -1,16 +1,29 @@
 package repro.catalyst
 
+import org.apache.spark.sql.{ReproBridge, SparkSession}
 import org.apache.spark.sql.catalyst.plans.logical.LogicalPlan
 import org.apache.spark.sql.execution.{SparkPlan, SparkStrategy}
-import repro.core.PrunedTopK
 
-/** Plans the COMPARE logical operator into [[CompareTopKExec]] (§4's
-  * "replace COMPARE with a sub-plan of physical operators").
+/** Plans the COMPARE logical operator into [[CompareTopKExec]] over the
+  * shared-scan trend aggregate (§4's "replace COMPARE with a sub-plan of
+  * physical operators"). The aggregate is built over the already-optimized
+  * child and planned by Spark's own strategies, without another optimizer
+  * pass.
   */
-class CompareStrategy(cfg: PrunedTopK.Config = PrunedTopK.Config()) extends SparkStrategy {
+class CompareStrategy(spark: SparkSession) extends SparkStrategy {
+
   override def apply(plan: LogicalPlan): Seq[SparkPlan] = plan match {
     case n: CompareNode =>
-      CompareTopKExec(n.spec, n.topK, cfg, n.output, planLater(n.child)) :: Nil
+      val trends = new TrendAggregation(n.spec).plan(n.child)
+      val trendsExec = ReproBridge.planner(spark).plan(trends).next()
+      // The aggregate's logical nodes are not in the query's logical plan, so
+      // the physical nodes that came from them are linked to the COMPARE
+      // node: adaptive execution then maps the aggregate's shuffle stage
+      // back to it instead of re-planning the query after every stage.
+      trendsExec.foreach { p =>
+        if (!p.logicalLink.exists(l => n.child.exists(_ eq l))) p.setTagValue(SparkPlan.LOGICAL_PLAN_TAG, n)
+      }
+      CompareTopKExec(n.spec, n.topK, n.output, trendsExec) :: Nil
     case _ => Nil
   }
 }

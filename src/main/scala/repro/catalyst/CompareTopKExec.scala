@@ -1,69 +1,26 @@
 package repro.catalyst
 
 import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.{DataFrame, ReproBridge}
 import org.apache.spark.sql.catalyst.InternalRow
-import org.apache.spark.sql.catalyst.expressions.{Attribute, UnsafeProjection}
-import org.apache.spark.sql.catalyst.util.DateTimeUtils
-import org.apache.spark.sql.execution.{SparkPlan, UnaryExecNode}
-import org.apache.spark.sql.types._
+import org.apache.spark.sql.catalyst.expressions.{Attribute, AttributeSet, UnsafeProjection}
+import org.apache.spark.sql.execution.{SQLExecution, SparkPlan, UnaryExecNode}
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.metric.{SQLMetric, SQLMetrics}
 import org.apache.spark.unsafe.types.UTF8String
 import repro.core._
 
-/** Internal-value codecs for the physical operator: canonicalize constraint
-  * and grouping values to strings (matching `CAST(x AS STRING)` semantics of
-  * the DataFrame strategies) and widen measures to double.
-  */
-private[catalyst] object ValueCodec {
-  def key(v: Any, dt: DataType): String = v match {
-    case null            => null
-    case u: UTF8String   => u.toString
-    case d: Decimal      => d.toBigDecimal.bigDecimal.toPlainString
-    case i: Integer if dt == DateType => DateTimeUtils.daysToLocalDate(i).toString
-    case other           => other.toString
-  }
-
-  def toDouble(v: Any): Double = v match {
-    case d: Double     => d
-    case f: Float      => f.toDouble
-    case i: Int        => i.toDouble
-    case l: Long       => l.toDouble
-    case s: Short      => s.toDouble
-    case b: Byte       => b.toDouble
-    case dec: Decimal  => dec.toDouble
-    case other => throw new IllegalArgumentException(s"non-numeric measure value: $other")
-  }
-}
-
-/** Column reference resolved against the child's output (top level so task
-  * closures capture plain data, not the exec node).
-  */
-private[catalyst] case class ColRef(ord: Int, dt: DataType) {
-  def keyOf(row: InternalRow): String =
-    if (row.isNullAt(ord)) null else ValueCodec.key(row.get(ord, dt), dt)
-  def doubleOf(row: InternalRow): java.lang.Double =
-    if (row.isNullAt(ord)) null else ValueCodec.toDouble(row.get(ord, dt))
-}
-private[catalyst] case class GmRef(gm: Int, g: ColRef, m: ColRef, agg: AggKind)
-/** Constraint values in template order: fixed terms carry their constant,
-  * free terms are read from the row (so output rows align with the schema's
-  * one-column-per-constraint-attribute layout).
-  */
-private[catalyst] case class SideRef(side: Int, fixed: Seq[(ColRef, String)],
-                                     cCols: Seq[Either[String, ColRef]], gms: Seq[GmRef])
-
 /** The COMPARE physical operator Φp (§5.3) as a Spark `UnaryExecNode`.
   *
-  * One shared scan over the child computes decomposable partial aggregates
-  * `(sum, count, min, max)` per (side, (g,m), trend, grouping value) via
-  * `reduceByKey` — aggregate sharing realized at the scan level. Trends are
-  * then assembled per key and handed to [[PrunedTopK]]: with a fused top-k
-  * the summarize→bound→prune + early-termination algorithm runs; without one
-  * all pairs are scored trendwise. Results are emitted as UnsafeRows.
+  * It collects its child, the trend aggregate of [[TrendAggregation]],
+  * assembles the trends on the driver and hands them to [[PrunedTopK]]: with
+  * a fused top-k the summarize→bound→prune + early-termination algorithm
+  * runs; without one all pairs are scored trendwise. `executeCollect` returns
+  * the result rows directly, so a COMPARE query is one Spark job.
   */
 case class CompareTopKExec(
     spec: CompareSpec,
     topK: Option[TopK],
-    cfg: PrunedTopK.Config,
     override val output: Seq[Attribute],
     child: SparkPlan)
   extends UnaryExecNode {
@@ -71,37 +28,52 @@ case class CompareTopKExec(
   override protected def withNewChildInternal(newChild: SparkPlan): CompareTopKExec =
     copy(child = newChild)
 
-  override def producedAttributes: org.apache.spark.sql.catalyst.expressions.AttributeSet =
-    org.apache.spark.sql.catalyst.expressions.AttributeSet(output)
+  override def producedAttributes: AttributeSet = AttributeSet(output)
 
-  protected override def doExecute(): RDD[InternalRow] = {
-    val (t1Rows, t2Rows) = TrendAggregation.trends(child.execute(), child.output, spec)
+  override lazy val metrics: Map[String, SQLMetric] = Map(
+    "trends" -> SQLMetrics.createMetric(sparkContext, "number of trends"),
+    "pairs" -> SQLMetrics.createMetric(sparkContext, "number of trend pairs"),
+    "pairsPrunedInitial" -> SQLMetrics.createMetric(sparkContext, "pairs pruned by initial bounds"),
+    "pairsPrunedSearch" -> SQLMetrics.createMetric(sparkContext, "pairs pruned during search"),
+    "segments" -> SQLMetrics.createMetric(sparkContext, "segments processed"),
+    "tuplesCompared" -> SQLMetrics.createMetric(sparkContext, "tuples compared"),
+    "summarySize" -> SQLMetrics.createSizeMetric(sparkContext, "segment summary size"),
+    "phiTime" -> SQLMetrics.createTimingMetric(sparkContext, "time in Φp"))
 
-    val result = topK match {
-      case Some(k) => PrunedTopK.run(spec, t1Rows, t2Rows, k, cfg)
-      case None =>
-        PrunedTopK.run(spec, t1Rows, t2Rows, TopK(Int.MaxValue, ascending = true),
-          cfg.copy(usePruning = false))
-    }
-    CompareTopKExec.lastStats = Some(result.stats)
+  private def result(): Array[InternalRow] = {
+    val (t1Rows, t2Rows) = new TrendAggregation(spec).trends(child.executeCollect())
 
-    val outRows = result.pairs.map { p =>
+    val t0 = System.nanoTime()
+    val res = topK.fold(PrunedTopK.run(spec, t1Rows, t2Rows, TopK(Int.MaxValue, ascending = true),
+      PrunedTopK.Config(usePruning = false)))(PrunedTopK.run(spec, t1Rows, t2Rows, _))
+    val st = res.stats
+    Seq("trends" -> st.trendCount, "pairs" -> st.pairsTotal,
+      "pairsPrunedInitial" -> st.pairsPrunedInitial, "pairsPrunedSearch" -> st.pairsPrunedSearch,
+      "segments" -> st.segmentsProcessed, "tuplesCompared" -> st.tuplesCompared,
+      "summarySize" -> st.summaryBytes, "phiTime" -> (System.nanoTime() - t0) / 1000000L)
+      .foreach { case (name, v) => metrics(name).set(v) }
+    SQLMetrics.postDriverMetricUpdates(sparkContext,
+      sparkContext.getLocalProperty(SQLExecution.EXECUTION_ID_KEY), metrics.values.toSeq)
+
+    val proj = UnsafeProjection.create(output.map(_.dataType).toArray)
+    res.pairs.map { p =>
       val gm1 = spec.t1.gms(p.gm1); val gm2 = spec.t2.gms(p.gm2)
       val strs = (p.c1 ++ p.c2 ++ Seq(gm1.grouping, gm1.measureLabel, gm2.measureLabel))
         .map(s => if (s == null) null else UTF8String.fromString(s))
-      InternalRow.fromSeq(strs :+ p.score)
-    }
-    val types = output.map(_.dataType).toArray
-    sparkContext.parallelize(outRows, 1).mapPartitions { it =>
-      val proj = UnsafeProjection.create(types)
-      it.map(proj)
-    }
+      proj(InternalRow.fromSeq(strs :+ p.score)).copy(): InternalRow
+    }.toArray
   }
+
+  override def executeCollect(): Array[InternalRow] = result()
+
+  protected override def doExecute(): RDD[InternalRow] =
+    sparkContext.parallelize(result().toSeq, 1)
 }
 
-object CompareTopKExec {
-  /** Pruning statistics of the most recent execution on this driver —
-    * observability hook for tests and benches.
+object CompareTopKExec extends AdaptiveSparkPlanHelper {
+  /** The COMPARE operator in a DataFrame's executed plan (looking inside
+    * adaptive query stages); after an action its `metrics` describe that run.
     */
-  @volatile var lastStats: Option[PrunedTopK.PruneStats] = None
+  def in(df: DataFrame): Option[CompareTopKExec] =
+    collectFirst(ReproBridge.executedPlan(df)) { case e: CompareTopKExec => e }
 }

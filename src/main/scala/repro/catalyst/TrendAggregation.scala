@@ -1,146 +1,150 @@
 package repro.catalyst
 
-import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.{DataFrame, ReproBridge, Row}
+import scala.collection.immutable.VectorMap
+import scala.collection.mutable
+
+import org.apache.spark.sql.{DataFrame, ReproBridge}
 import org.apache.spark.sql.catalyst.InternalRow
-import org.apache.spark.sql.catalyst.expressions.Attribute
+import org.apache.spark.sql.catalyst.expressions._
+import org.apache.spark.sql.catalyst.expressions.aggregate.{AggregateFunction, Average, Max, Min, Sum}
+import org.apache.spark.sql.catalyst.plans.logical.{Aggregate, Expand, Filter, LogicalPlan, Project}
+import org.apache.spark.sql.internal.SQLConf
+import org.apache.spark.sql.types.{BooleanType, DataType, DoubleType, IntegerType, StringType}
 import repro.core._
 
-/** The shared-scan trend-building pipeline of Φp (§4.2 realized at the scan
-  * level): one pass over the input computes decomposable partials
-  * `(sum, count, min, max)` per (side, (g,m), trend, grouping value) with
-  * partition-local hash aggregation, then trends are assembled per key.
-  *
-  * The only trend builder: used by [[CompareTopKExec]] (over its physical
-  * child) and by [[TrendCollector]] (over a DataFrame).
-  */
-private[catalyst] object TrendAggregation {
+/** Side `side`'s grouping set on column `grouping`; `members` index its (g, m)s. */
+private final case class GroupingSet(side: Int, grouping: String, members: Seq[Int])
 
-  private def ref(output: Seq[Attribute], name: String): ColRef = {
-    val i = output.indexWhere(_.name.equalsIgnoreCase(name))
-    require(i >= 0, s"COMPARE column '$name' not found in ${output.map(_.name)}")
-    ColRef(i, output(i).dataType)
+/** The shared-scan trend builder (§4.2): one GROUPING SETS aggregate over
+  * the input, planned and code-generated by Spark like any other aggregate.
+  *
+  * {{{
+  *   Aggregate [grouping_id, c_1..c_n, g] [AGG(v_j) per distinct (g, m)]
+  *     (Filter keep)               -- two sides, not both free of fixed terms
+  *       Expand                    -- one row per grouping set (side, g)
+  *         Project                 -- CAST(keys AS STRING), CAST(measures AS DOUBLE)
+  *           (Filter fixed terms)  -- when every side has fixed terms
+  *             child
+  * }}}
+  *
+  * A side is a distinct constraint template, so symmetric comparisons
+  * aggregate once. A set's free constraint values fill `c_1..c_n` and its
+  * grouping value fills `g`, so every NULL in a key is a real NULL and
+  * `grouping_id` names the set; `v_j` carries its measure only in the sets
+  * of its (g, m). The layout depends on the spec alone: [[plan]] builds the
+  * aggregate and [[trends]] reads its rows.
+  */
+private[catalyst] final class TrendAggregation(spec: CompareSpec) {
+
+  private val templates = Seq(spec.t1.constraint, spec.t2.constraint).distinct
+  private def sideOf(ts: TrendsetSpec): Int = templates.indexOf(ts.constraint)
+
+  private val used1 = spec.comparableGmPairs.map(_._1).distinct
+  private val used2 = spec.comparableGmPairs.map(_._2).distinct
+  private val needed: Seq[(Int, GroupingMeasure)] =
+    (used1.map(i => (sideOf(spec.t1), spec.t1.gms(i))) ++
+      used2.map(j => (sideOf(spec.t2), spec.t2.gms(j)))).distinct
+  /** One aggregate (and measure slot) per distinct (g, m). */
+  private val gms: Seq[GroupingMeasure] = needed.map(_._2).distinct
+  private val sets: Seq[GroupingSet] =
+    needed.map { case (s, gm) => (s, gm.grouping) }.distinct.map { case (s, g) =>
+      GroupingSet(s, g, gms.indices.filter(j => gms(j).grouping == g && needed.contains((s, gms(j)))))
+    }
+  private val nC = templates.map(_.count(_.isFree)).max
+
+  /** The aggregate over `child`, with output `grouping_id, c_1..c_n, g, v_1..`. */
+  def plan(child: LogicalPlan): LogicalPlan = {
+    val tz = Option(SQLConf.get.sessionLocalTimeZone)
+    def attr(name: String): Attribute =
+      child.output.find(_.name.equalsIgnoreCase(name)).getOrElse(throw new IllegalArgumentException(
+        s"COMPARE column '$name' not found in ${child.output.map(_.name)}"))
+    def as(e: Expression, dt: DataType): Expression = if (e.dataType == dt) e else Cast(e, dt, tz)
+
+    val conds: Seq[Option[Expression]] = templates.map(_.collect {
+      case ConstraintTerm(a, Some(v)) => EqualTo(as(attr(a), StringType), Literal(v)): Expression
+    }.reduceOption(And))
+    val scan = if (conds.forall(_.isDefined)) Filter(conds.flatten.reduce(Or), child) else child
+    // Two sides that differ in fixed terms: each grouping set keeps only the
+    // rows of its own side.
+    val needKeep = templates.size > 1 && conds.exists(_.isDefined)
+
+    val keyNames = (templates.flatMap(_.filter(_.isFree).map(_.attr)) ++ sets.map(_.grouping))
+      .distinctBy(_.toLowerCase)
+    val keys = keyNames.map(n => n.toLowerCase -> Alias(as(attr(n), StringType), n)()).to(VectorMap)
+    val measures = gms.map(_.measure).distinctBy(_.toLowerCase)
+      .map(n => n.toLowerCase -> Alias(as(attr(n), DoubleType), n)()).to(VectorMap)
+    val ins = conds.zipWithIndex.collect { case (Some(c), s) if needKeep => s -> Alias(c, s"in$s")() }
+      .to(VectorMap)
+    val project = Project((keys.values ++ measures.values ++ ins.values).toSeq, scan)
+
+    val gid = AttributeReference("grouping_id", IntegerType, nullable = false)()
+    val cSlots = (1 to nC).map(i => AttributeReference(s"c$i", StringType)())
+    val gSlot = AttributeReference("g", StringType)()
+    val vSlots = gms.indices.map(j => AttributeReference(s"v${j + 1}", DoubleType)())
+    val keep = Option.when(needKeep)(AttributeReference("keep", BooleanType)())
+    val projections = sets.zipWithIndex.map { case (set, i) =>
+      val free = templates(set.side).filter(_.isFree).map(t => keys(t.attr.toLowerCase).toAttribute)
+      Seq(Literal(i)) ++ free ++ Seq.fill(nC - free.size)(Literal(null, StringType)) ++
+        Seq(keys(set.grouping.toLowerCase).toAttribute) ++
+        gms.indices.map(j =>
+          if (set.members.contains(j)) measures(gms(j).measure.toLowerCase).toAttribute
+          else Literal(null, DoubleType)) ++
+        keep.map(_ => ins.get(set.side).map(_.toAttribute).getOrElse(Literal(true)))
+    }
+    val groupBy = gid +: cSlots :+ gSlot
+    val expand = Expand(projections, groupBy ++ vSlots ++ keep, project)
+    val input = keep.fold[LogicalPlan](expand)(Filter(_, expand))
+    val aggs = gms.zip(vSlots).zipWithIndex.map { case ((gm, v), j) =>
+      val fn: AggregateFunction = gm.agg match {
+        case AggKind.Sum => Sum(v)
+        case AggKind.Avg => Average(v)
+        case AggKind.Min => Min(v)
+        case AggKind.Max => Max(v)
+      }
+      Alias(fn.toAggregateExpression(), s"agg${j + 1}")()
+    }
+    Aggregate(groupBy, groupBy ++ aggs, input, None)
   }
 
-  private def sideRef(output: Seq[Attribute], ts: TrendsetSpec, side: Int,
-                      gmIdxs: Seq[Int]): SideRef =
-    SideRef(
-      side,
-      ts.fixedTerms.map { case (a, v) => (ref(output, a), v) },
-      ts.constraint.map {
-        case ConstraintTerm(_, Some(v)) => Left(v)
-        case ConstraintTerm(a, None)    => Right(ref(output, a))
-      },
-      gmIdxs.map(i =>
-        GmRef(i, ref(output, ts.gms(i).grouping), ref(output, ts.gms(i).measure), ts.gms(i).agg)))
-
-  /** Build both sides' trends from an InternalRow RDD. */
-  def trends(rdd: RDD[InternalRow], output: Seq[Attribute],
-             spec: CompareSpec): (Seq[TrendRow], Seq[TrendRow]) = {
-    val gms1 = spec.comparableGmPairs.map(_._1).distinct
-    val gms2 = spec.comparableGmPairs.map(_._2).distinct
-    // Identical trendset templates (Q2/Q4-style symmetric comparison): one
-    // side's trends serve both roles.
-    val singleSided = spec.t1 == spec.t2
-    val sidesArr: Array[SideRef] =
-      if (singleSided) Array(sideRef(output, spec.t1, 1, (gms1 ++ gms2).distinct))
-      else Array(sideRef(output, spec.t1, 1, gms1), sideRef(output, spec.t2, 2, gms2))
-
-    // Keys are flat \u0001-separated strings: far cheaper to serialize in
-    // the shuffle than nested tuples, which dominates at high key cardinality.
-    val Sep = '\u0001'
-    val SepStr = Sep.toString
-    val entries = rdd.mapPartitions { it =>
-      val acc = new java.util.HashMap[String, Array[Double]]()
-      it.foreach { row =>
-        var si = 0
-        while (si < sidesArr.length) {
-          val s = sidesArr(si)
-          if (s.fixed.forall { case (c, v) => c.keyOf(row) == v }) {
-            val cPart = {
-              val sb = new java.lang.StringBuilder()
-              s.cCols.foreach { cc =>
-                sb.append(Sep)
-                cc match {
-                  case Left(v)  => sb.append(v)
-                  case Right(c) => val k = c.keyOf(row); if (k != null) sb.append(k) else sb.append("\u0000")
-                }
-              }
-              sb.toString
-            }
-            val gms = s.gms
-            var gi = 0
-            while (gi < gms.length) {
-              val gm = gms(gi)
-              val g = gm.g.keyOf(row)
-              val m = gm.m.doubleOf(row)
-              if (g != null && m != null) {
-                val v = m.doubleValue()
-                val key = s"${s.side}$Sep${gm.gm}$cPart$Sep$g"
-                val st = acc.get(key)
-                if (st == null) acc.put(key, Array(v, 1.0, v, v))
-                else {
-                  st(0) += v; st(1) += 1.0
-                  if (v < st(2)) st(2) = v
-                  if (v > st(3)) st(3) = v
-                }
-              }
-              gi += 1
-            }
-          }
-          si += 1
+  /** Both sides' trends from the aggregate's output rows. A NULL grouping
+    * value belongs to no trend; a NULL aggregate (every measure NULL) is no
+    * point of its trend.
+    */
+  def trends(rows: Array[InternalRow]): (Seq[TrendRow], Seq[TrendRow]) = {
+    val points = mutable.HashMap.empty[(Int, GroupingMeasure, Seq[String]), mutable.HashMap[String, Double]]
+    val gOrd = 1 + nC
+    rows.foreach { row =>
+      val set = sets(row.getInt(0))
+      if (!row.isNullAt(gOrd)) {
+        val g = row.getUTF8String(gOrd).toString
+        var free = 0
+        val c = templates(set.side).map {
+          case ConstraintTerm(_, Some(v)) => v
+          case _ =>
+            free += 1
+            if (row.isNullAt(free)) null else row.getUTF8String(free).toString
+        }
+        set.members.foreach { j =>
+          val ord = gOrd + 1 + j
+          if (!row.isNullAt(ord))
+            points.getOrElseUpdate((set.side, gms(j), c), mutable.HashMap.empty)(g) = row.getDouble(ord)
         }
       }
-      import scala.jdk.CollectionConverters._
-      acc.entrySet().iterator().asScala.map(e => (e.getKey, e.getValue))
     }
-
-    val reduced = entries.reduceByKey { (a, b) =>
-      Array(a(0) + b(0), a(1) + b(1), math.min(a(2), b(2)), math.max(a(3), b(3)))
-    }
-
-    val specB = spec
-    val nC1 = spec.t1.constraint.size
-    val nC2 = spec.t2.constraint.size
-    val perTrend = reduced
-      .map { case (key, st) =>
-        // limit -1: keep a trailing empty grouping value.
-        val parts = key.split(SepStr, -1)
-        val side = parts(0).toInt
-        val gm = parts(1).toInt
-        val nC = if (side == 1 || singleSided) nC1 else nC2
-        val c = parts.slice(2, 2 + nC).toList.map(x => if (x == "\u0000") null else x)
-        val g = parts(2 + nC)
-        val agg = (if (side == 1) specB.t1 else specB.t2).gms(gm).agg
-        val v = agg match {
-          case AggKind.Sum => st(0)
-          case AggKind.Avg => st(0) / st(1)
-          case AggKind.Min => st(2)
-          case AggKind.Max => st(3)
-        }
-        ((side, gm, c), (g, v))
-      }
-      .groupByKey()
-      .collect()
-
-    def rowsOf(side: Int): Seq[TrendRow] =
-      perTrend.collect { case ((s, gm, c), data) if s == side => TrendRow(gm, c, data.toMap) }.toSeq
-
-    val side1All = rowsOf(1)
-    val t1Rows = side1All.filter(r => gms1.contains(r.gm))
-    val t2Rows =
-      if (singleSided) side1All.filter(r => gms2.contains(r.gm))
-      else rowsOf(2)
-    (t1Rows, t2Rows)
+    val byGm = points.toSeq.groupMap { case ((s, gm, _), _) => (s, gm) } { case ((_, _, c), d) => (c, d.toMap) }
+    def rowsOf(ts: TrendsetSpec, used: Seq[Int]): Seq[TrendRow] =
+      used.flatMap(i => byGm.getOrElse((sideOf(ts), ts.gms(i)), Nil).map { case (c, d) => TrendRow(i, c, d) })
+    (rowsOf(spec.t1, used1), rowsOf(spec.t2, used2))
   }
 }
 
-/** DataFrame-level entry to the shared-scan trend builder, for driver-side
-  * top-k (`Compare.topK`, the UDF baseline, the benches).
+/** [[CompareTopKExec]]'s trend aggregate run through the Dataset API, for
+  * driver-side top-k (`Compare.topK`, the UDF baseline, the benches).
   */
 object TrendCollector {
   def collect(df: DataFrame, spec: CompareSpec): (Seq[TrendRow], Seq[TrendRow]) = {
-    val (rdd, output) = ReproBridge.internalRdd(df)
-    TrendAggregation.trends(rdd, output, spec)
+    val agg = new TrendAggregation(spec)
+    val plan = agg.plan(ReproBridge.analyzedPlan(df))
+    agg.trends(ReproBridge.executeCollect(ReproBridge.ofRows(df.sparkSession, plan)))
   }
 }

@@ -136,9 +136,6 @@ object PrunedTopK {
       def guarantee: Double  = if (topK.ascending) -upperScore else lowerScore
       def exactScoreNow: Double = { assert(done); toScore(exactSum) }
       def processOneSegment(): Unit = {
-        // Skip zero-match segments outright — they contribute nothing.
-        while (!done && bounds(nextSeg).matched == 0) nextSeg += 1
-        if (done) return
         val (sum, _, touched) = exactSegment(t1, t2, nextSeg, p)
         tuplesCompared += touched
         segmentsProcessed += 1
@@ -146,7 +143,18 @@ object PrunedTopK {
         remLower -= bounds(nextSeg).lower
         remUpper -= bounds(nextSeg).upper
         nextSeg += 1
+        skipUnmatched()
       }
+      /** Skip zero-match segments outright — they contribute nothing. Once
+        * none is left the residues are exactly 0: repeated subtraction leaves
+        * rounding noise that could put `lowerScore` above `upperScore`, and a
+        * finished pair setting the k-th threshold would then prune itself.
+        */
+      private def skipUnmatched(): Unit = {
+        while (!done && bounds(nextSeg).matched == 0) nextSeg += 1
+        if (done) { remLower = 0.0; remUpper = 0.0 }
+      }
+      skipUnmatched()
     }
 
     val pairs = candidates.map { case (t1, t2) => new PairState(t1, t2) }

@@ -1,6 +1,11 @@
 package repro.catalyst
 
-import org.apache.spark.sql.ReproBridge
+import org.apache.spark.sql.{DataFrame, ReproBridge, Row}
+import org.apache.spark.sql.execution.ExpandExec
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.aggregate.HashAggregateExec
+import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.types._
 import repro.core._
 import repro.{SparkSpec, TestData, TestUtil}
 
@@ -24,9 +29,7 @@ class CompareExecSpec extends SparkSpec {
 
   test("the plan actually contains CompareTopKExec") {
     val df = CompareSession.compare(sales, Specs.symCities(), None)
-    val physical = ReproBridge.executedPlan(df)
-    assert(physical.exists(_.isInstanceOf[CompareTopKExec]),
-      s"plan was:\n$physical")
+    assert(CompareTopKExec.in(df).isDefined, s"plan was:\n${ReproBridge.executedPlan(df)}")
   }
 
   test("logical plan shows the Compare node with its spec") {
@@ -48,12 +51,21 @@ class CompareExecSpec extends SparkSpec {
   }
 
   test("fused top-k populates pruning statistics") {
-    CompareTopKExec.lastStats = None
-    CompareSession.compare(sales, Specs.symCities(), Some(TopK(1, ascending = false))).collect()
-    val stats = CompareTopKExec.lastStats
-    assert(stats.isDefined)
-    assert(stats.get.pairsTotal == 8 * 7 / 2)
-    assert(stats.get.tuplesCompared > 0)
+    val df = CompareSession.compare(sales, Specs.symCities(), Some(TopK(1, ascending = false)))
+    df.collect()
+    val metrics = CompareTopKExec.in(df).map(_.metrics)
+    assert(metrics.isDefined)
+    assert(metrics.get("trends").value == 16)
+    assert(metrics.get("pairs").value == 8 * 7 / 2)
+    assert(metrics.get("tuplesCompared").value > 0)
+  }
+
+  test("the trend aggregate is an Expand and a HashAggregate under CompareTopKExec") {
+    val df = CompareSession.compare(sales, Specs.symCitiesMulti(), None)
+    df.collect()
+    val exec = CompareTopKExec.in(df).get
+    assert(Plans.collect(exec.child) { case e: ExpandExec => e }.size == 1, exec.treeString)
+    assert(Plans.collect(exec.child) { case a: HashAggregateExec => a }.size == 2, exec.treeString)
   }
 
   test("single-sided optimization handles symmetric trendsets correctly") {
@@ -89,6 +101,99 @@ class CompareExecSpec extends SparkSpec {
     TestUtil.assertSameResult(Compare.topK(df, spec, k)._1, expect)
   }
 
+  // ---- edge cases of the trend builder: NULLs, empty input, DECIMAL keys,
+  // two sides over one scan
+
+  private val edgeSchema = StructType(Seq(
+    StructField("city", StringType), StructField("product", StringType),
+    StructField("week", IntegerType), StructField("revenue", DoubleType)))
+
+  /** Four cities × four weeks, with scores that do not tie. */
+  private val edgeRows: Seq[Row] = for {
+    (city, ci) <- Seq("A", "B", "C", "D").zipWithIndex
+    week <- 1 to 4
+  } yield Row(city, s"P${(ci + week) % 2}", week, (ci + 1) * week + 0.37 * ci * ci + 0.011 * week * week)
+
+  private def edgeDf(rows: Seq[Row]): DataFrame =
+    spark.createDataFrame(spark.sparkContext.parallelize(rows, 2), edgeSchema)
+
+  private val weekSum = GroupingMeasure("week", AggKind.Sum, "revenue")
+  private def symCity(gm: GroupingMeasure = weekSum): CompareSpec = {
+    val ts = TrendsetSpec(Seq(ConstraintTerm("city", None)), Seq(gm))
+    CompareSpec(ts, ts, Specs.scorer())
+  }
+
+  /** Every city against city B (Q1 style: a free and a fixed side). */
+  private val cityVsB = CompareSpec(
+    TrendsetSpec(Seq(ConstraintTerm("city", None)), Seq(weekSum)),
+    TrendsetSpec(Seq(ConstraintTerm("city", Some("B"))), Seq(weekSum)),
+    Specs.scorer())
+
+  /** Both entry points to the trend builder — the operator (all pairs and
+    * top-k) and `TrendCollector` → Φp — against the basic plan, which is
+    * itself checked against the DuckDB oracle.
+    */
+  private def checkEdge(df: DataFrame, spec: CompareSpec, expectedRows: Long): Unit = {
+    val basic = BasicExec.run(df, spec)
+    assert(basic.count() == expectedRows)
+    TestUtil.checkOracle(basic, spec, "t", df)
+
+    val all = CompareSession.compare(df, spec, None)
+    TestUtil.assertSameResult(all, basic)
+    TestUtil.checkOracle(all, spec, "t", df)
+    val (t1, t2) = TrendCollector.collect(df, spec)
+    val exhaustive = PrunedTopK.run(spec, t1, t2, TopK(Int.MaxValue, ascending = true),
+      PrunedTopK.Config(usePruning = false))
+    TestUtil.assertSameResult(CompareOutput.toDf(spark, spec, exhaustive.pairs), basic)
+
+    val k = TopK(2, ascending = true)
+    val expect = basic.orderBy("score").limit(k.k)
+    TestUtil.assertSameResult(CompareSession.compare(df, spec, Some(k)), expect)
+    TestUtil.assertSameResult(Compare.topK(df, spec, k)._1, expect)
+  }
+
+  test("edge: a NULL grouping value belongs to no trend") {
+    val df = edgeDf(edgeRows ++ Seq(Row("A", "P0", null, 5.0), Row("B", "P1", null, 7.0)))
+    checkEdge(df, symCity(), 4 * 3 / 2)
+  }
+
+  test("edge: NULL measures are ignored inside a trend") {
+    // A NULL next to a value in (A, 2); (B, 3) holds only a NULL.
+    val rows = edgeRows.filterNot(r => r.get(0) == "B" && r.get(2) == 3) ++
+      Seq(Row("A", "P0", 2, null), Row("B", "P0", 3, null))
+    checkEdge(edgeDf(rows), symCity(), 4 * 3 / 2)
+    checkEdge(edgeDf(rows), symCity(GroupingMeasure("week", AggKind.Avg, "revenue")), 4 * 3 / 2)
+  }
+
+  test("edge: a NULL constraint value forms a trend") {
+    val df = edgeDf(edgeRows ++ (1 to 4).map(w => Row(null, "P0", w, 2.5 * w + 0.3)))
+    // Fixed product against every city, NULL city included (Q1 style, two sides).
+    val spec = CompareSpec(
+      TrendsetSpec(Seq(ConstraintTerm("product", Some("P0"))), Seq(weekSum)),
+      TrendsetSpec(Seq(ConstraintTerm("city", None)), Seq(weekSum)),
+      Specs.scorer())
+    checkEdge(df, spec, 5)
+  }
+
+  test("edge: empty input yields no pairs") {
+    val empty = edgeDf(Nil)
+    checkEdge(empty, symCity(), 0)
+    checkEdge(empty, cityVsB, 0)
+  }
+
+  test("edge: DECIMAL grouping values are keyed as CAST(… AS STRING)") {
+    val df = edgeDf(edgeRows).withColumn("week", (col("week") * 1.5).cast(DecimalType(4, 1)))
+    checkEdge(df, symCity(), 4 * 3 / 2)
+  }
+
+  test("edge: a fixed and a free side share one scan") {
+    checkEdge(edgeDf(edgeRows), cityVsB, 3)
+    val df = CompareSession.compare(edgeDf(edgeRows), cityVsB, None)
+    df.collect()
+    val exec = CompareTopKExec.in(df).get
+    assert(Plans.collect(exec.child) { case e: ExpandExec => e }.size == 1, exec.treeString)
+  }
+
   test("operator resolves columns case-insensitively") {
     val upper = sales.toDF(sales.columns.map(_.toUpperCase): _*)
     val df = CompareSession.compare(upper, Specs.symCities(), None)
@@ -121,3 +226,6 @@ class CompareExecSpec extends SparkSpec {
       BasicExec.run(withDate, spec))
   }
 }
+
+/** Plan traversal that looks inside adaptive query stages. */
+private object Plans extends AdaptiveSparkPlanHelper

@@ -178,8 +178,7 @@ class RulesSpec extends SparkSpec {
     CompareSession.install(spark, withR5 = true)
     try {
       val df = spark.sql(comparativeSql)
-      assert(ReproBridge.executedPlan(df).exists(_.isInstanceOf[CompareTopKExec]),
-        s"plan:\n${ReproBridge.executedPlan(df)}")
+      assert(CompareTopKExec.in(df).isDefined, s"plan:\n${ReproBridge.executedPlan(df)}")
       // And it still returns the semantics of the symCities COMPARE.
       val expect = BasicExec.run(sales, Specs.symCities())
         .select(col("city_1").as("c1"), col("city_2").as("c2"), col("score"))

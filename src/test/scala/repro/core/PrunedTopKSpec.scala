@@ -1,6 +1,8 @@
 package repro.core
 
 import repro.catalyst.TrendCollector
+import repro.flight.FlightData
+import repro.workload.Workloads
 import repro.{SparkSpec, TestData, TestUtil}
 
 /** Correctness of the Φp pruning operator (§5): top-k selection must agree
@@ -109,6 +111,19 @@ class PrunedTopKSpec extends SparkSpec {
     val res = pruned(Specs.symCities(), TopK(5, ascending = true)).pairs
     val sorted = TestUtil.sortPairs(res, ascending = true)
     assert(res == sorted)
+  }
+
+  test("a finished pair at the k-th threshold is kept (flight Q2, 256 airports × 48 days)") {
+    // Many short dense trends: the k-th best pair finishes its segments
+    // during the search and must not be pruned by its own guarantee.
+    val q = Workloads.flightQ2
+    def ids(pairs: Seq[ScoredPair]) = pairs.map(p => (p.c1, p.c2, p.gm1, p.gm2)).toSet
+    for (seed <- Seq(771671162L, 2L, 9L, 12L, 13L, 940280112L, 1124250886L)) {
+      val (t1, t2) = TrendCollector.collect(FlightData.flights(spark, 256, 48, 1, seed), q.spec)
+      val exact = PrunedTopK.run(q.spec, t1, t2, q.topK, PrunedTopK.Config(usePruning = false)).pairs
+      val fast = PrunedTopK.run(q.spec, t1, t2, q.topK).pairs
+      assert(ids(fast) == ids(exact), s"seed $seed: pruned=$fast\nexact=$exact")
+    }
   }
 
   test("property: random sparse trends — pruned top-k equals brute force") {
