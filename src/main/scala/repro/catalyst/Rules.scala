@@ -221,6 +221,9 @@ object ReduceToCompare extends Rule[LogicalPlan] {
             if ta1.src.canonicalized == ta2.src.canonicalized
             if ta1.gName == ta2.gName && ta1.cName == ta2.cName
             if ta1.agg == ta2.agg && ta1.mName == ta2.mName
+            // COMPARE orders constraint values as strings, so `a.c < b.c`
+            // means the same only on string columns.
+            if ta1.cOut.dataType == StringType && ta2.cOut.dataType == StringType
             if isEq(gCond, ta1.gOut, ta2.gOut)
             if isLt(cCond, ta1.cOut, ta2.cOut)
             rewritten <- rewriteOuter(outer, ta1, ta2)

@@ -4,6 +4,7 @@ import scala.collection.immutable.VectorMap
 import scala.collection.mutable
 
 import org.apache.spark.sql.{DataFrame, ReproBridge}
+import org.apache.spark.sql.functions.{col, lit}
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.catalyst.expressions._
 import org.apache.spark.sql.catalyst.expressions.aggregate.{AggregateFunction, Average, Max, Min, Sum}
@@ -31,19 +32,27 @@ private final case class GroupingSet(side: Int, grouping: String, members: Seq[I
   * aggregate once. A set's free constraint values fill `c_1..c_n` and its
   * grouping value fills `g`, so every NULL in a key is a real NULL and
   * `grouping_id` names the set; `v_j` carries its measure only in the sets
-  * of its (g, m). The layout depends on the spec alone: [[plan]] builds the
-  * aggregate and [[trends]] reads its rows.
+  * of its (g, m). The layout depends on the spec and `members` alone: [[plan]]
+  * builds the aggregate, and [[trends]] and [[trendRel]] read its rows.
+  *
+  * `members` are the (trendset, (g, m))s to aggregate: by default the
+  * comparable ones of the spec; the merged-aggregate ablation stage
+  * ([[repro.core.BasicExec]]) passes the (g, m)s Algorithm 1 merges.
   */
-private[catalyst] final class TrendAggregation(spec: CompareSpec) {
+private[repro] final class TrendAggregation(spec: CompareSpec,
+                                            members: Seq[(TrendsetSpec, GroupingMeasure)]) {
 
-  private val templates = Seq(spec.t1.constraint, spec.t2.constraint).distinct
-  private def sideOf(ts: TrendsetSpec): Int = templates.indexOf(ts.constraint)
+  def this(spec: CompareSpec) = this(spec,
+    spec.comparableGmPairs.map(_._1).distinct.map(i => spec.t1 -> spec.t1.gms(i)) ++
+      spec.comparableGmPairs.map(_._2).distinct.map(j => spec.t2 -> spec.t2.gms(j)))
 
   private val used1 = spec.comparableGmPairs.map(_._1).distinct
   private val used2 = spec.comparableGmPairs.map(_._2).distinct
+  private val templates = members.map(_._1.constraint).distinct
+  private def sideOf(ts: TrendsetSpec): Int = templates.indexOf(ts.constraint)
+
   private val needed: Seq[(Int, GroupingMeasure)] =
-    (used1.map(i => (sideOf(spec.t1), spec.t1.gms(i))) ++
-      used2.map(j => (sideOf(spec.t2), spec.t2.gms(j)))).distinct
+    members.map { case (ts, gm) => (sideOf(ts), gm) }.distinct
   /** One aggregate (and measure slot) per distinct (g, m). */
   private val gms: Seq[GroupingMeasure] = needed.map(_._2).distinct
   private val sets: Seq[GroupingSet] =
@@ -136,6 +145,30 @@ private[catalyst] final class TrendAggregation(spec: CompareSpec) {
       used.flatMap(i => byGm.getOrElse((sideOf(ts), ts.gms(i)), Nil).map { case (c, d) => TrendRow(i, c, d) })
     (rowsOf(spec.t1, used1), rowsOf(spec.t2, used2))
   }
+
+  /** The aggregate over `df`'s rows. */
+  def over(df: DataFrame): DataFrame =
+    ReproBridge.ofRows(df.sparkSession, plan(ReproBridge.analyzedPlan(df)))
+
+  /** The trend relation of member (`ts`, `gm`) read out of `agg`, the output
+    * of [[over]]: the columns of [[repro.core.Relations.trendRel]] for side
+    * `side` (`<attr>_<side>` with fixed terms as literals, `__g<side>`,
+    * `__v<side>`).
+    */
+  def trendRel(agg: DataFrame, ts: TrendsetSpec, gm: GroupingMeasure, side: Int): DataFrame = {
+    val j = gms.indexOf(gm)
+    val set = sets.indexWhere(s => s.side == sideOf(ts) && s.members.contains(j))
+    require(set >= 0, s"($ts, $gm) is not aggregated here")
+    var free = 0
+    val cs = ts.constraint.map {
+      case ConstraintTerm(a, Some(v)) => lit(v).as(s"${a}_$side")
+      case ConstraintTerm(a, None) =>
+        free += 1
+        col(s"c$free").as(s"${a}_$side")
+    }
+    agg.filter(col("grouping_id") === set)
+      .select(cs :+ col("g").as(s"__g$side") :+ col(s"agg${j + 1}").as(s"__v$side"): _*)
+  }
 }
 
 /** [[CompareTopKExec]]'s trend aggregate run through the Dataset API, for
@@ -144,7 +177,6 @@ private[catalyst] final class TrendAggregation(spec: CompareSpec) {
 object TrendCollector {
   def collect(df: DataFrame, spec: CompareSpec): (Seq[TrendRow], Seq[TrendRow]) = {
     val agg = new TrendAggregation(spec)
-    val plan = agg.plan(ReproBridge.analyzedPlan(df))
-    agg.trends(ReproBridge.executeCollect(ReproBridge.ofRows(df.sparkSession, plan)))
+    agg.trends(ReproBridge.executeCollect(agg.over(df)))
   }
 }

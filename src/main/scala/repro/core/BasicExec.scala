@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import repro.catalyst.TrendAggregation
 
 /** Basic execution strategy (§4.1) — the plan relational engines generate for
   * hand-written comparative SQL (Figure 3):
@@ -22,17 +23,29 @@ object BasicExec {
       i => Relations.trendRel(df, spec.t1, spec.t1.gms(i), side = 1),
       j => Relations.trendRel(df, spec.t2, spec.t2.gms(j), side = 2))
 
-  /** The same plan over shared (merged) group-by aggregates, still with
+  /** The same plan over shared (merged) aggregates, still with
     * trendset-granularity joins — isolates the merging optimization for the
-    * §8.1 ablation.
+    * §8.1 ablation. Algorithm 1 ([[MergeOptimizer]]) picks which (g, m)s of a
+    * trendset share one grouping-sets aggregate ([[TrendAggregation]]). Each
+    * aggregate is materialized once for the query, so the optimizer cannot
+    * push a member's filter into it and undo the sharing; every member reads
+    * its trend relation out of it. Symmetric specs aggregate one side for both.
     */
   private[core] def runMerged(df: DataFrame, spec: CompareSpec, stats: Option[Stats]): DataFrame = {
-    val (rels1raw, rels2) = Relations.mergedRels(df, spec, stats)
-    // Spool the per-(g,m) trend relations: they are shared sub-plans (each
-    // feeds a pairwise join, and for symmetric trendsets both join sides).
-    // The cache substitution applies to rels2's renamed lineage as well.
-    val rels1 = rels1raw.map { case (i, r) => i -> Relations.spool(r) }
-    scorePairs(df, spec, rels1, rels2)
+    val shared = (for {
+      ts <- Seq(spec.t1, spec.t2).distinct
+      group <- if (ts.gms.size == 1) Seq(Seq(0))
+               else MergeOptimizer.optimize(ts,
+                 stats.getOrElse(Stats.collect(df, ts.freeAttrs ++ ts.gms.map(_.grouping))))
+      agg = new TrendAggregation(spec, group.map(i => ts -> ts.gms(i)))
+      out = agg.over(df).localCheckpoint()
+      i <- group
+    } yield (ts, ts.gms(i)) -> (agg, out)).toMap
+    def rel(ts: TrendsetSpec, side: Int)(i: Int): DataFrame = {
+      val (agg, out) = shared((ts, ts.gms(i)))
+      agg.trendRel(out, ts, ts.gms(i), side)
+    }
+    scorePairs(df, spec, rel(spec.t1, 1), rel(spec.t2, 2))
   }
 
   /** Steps 2–4 over each side's per-(g, m) trend relations (columns as in

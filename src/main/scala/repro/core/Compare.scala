@@ -9,8 +9,9 @@ import repro.catalyst.{CompareSession, TrendCollector}
   * is runnable on its own (used directly by the benchmarks):
   *
   *   - [[ExecStrategy.Basic]]       — §4.1 plan (the unmodified-engine baseline)
-  *   - [[ExecStrategy.MergedOnly]]  — + shared (merged) group-by aggregates,
-  *                                    still trendset-granularity joins
+  *   - [[ExecStrategy.MergedOnly]]  — + shared grouping-sets aggregates of
+  *                                    the (g, m)s Algorithm 1 merges, still
+  *                                    trendset-granularity joins
   *   - [[ExecStrategy.Full]]        — the COMPARE operator: one shared scan
   *                                    builds every trend, then pairs are
   *                                    scored trendwise (§4.2 final plan)

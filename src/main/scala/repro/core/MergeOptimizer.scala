@@ -38,7 +38,9 @@ object Stats {
   * sub-plan covers the shared scan, the merged group-by's output (which is the
   * partitioning input — the paper's observation that partitioning cost grows
   * with merge width), and the per-(g,m) re-aggregated trend relations. Two
-  * sub-plans are merged per iteration while total cost decreases.
+  * sub-plans are merged per iteration while total cost decreases. Each
+  * resulting group of (g, m)s shares one grouping-sets aggregate in
+  * `BasicExec.runMerged`.
   */
 object MergeOptimizer {
 

@@ -71,7 +71,8 @@ object PrunedTopK {
     val trendCount = (side1.size + side2.size).toLong
     val summaryDoubles = (side1 ++ side2).map(_.segs.length.toLong * 4).sum
 
-    // --- Enumerate candidate pairs (pair-mode conditions on c values) ---
+    // --- Enumerate candidate pairs (pair-mode conditions on c values, in
+    // SQL's three-valued logic as in Relations.pairCondition) ---
     val by1 = side1.groupBy(_.gm)
     val by2 = side2.groupBy(_.gm)
     val candidates = mutable.ArrayBuffer.empty[(SegTrend, SegTrend)]
@@ -79,9 +80,10 @@ object PrunedTopK {
       for (t1 <- by1.getOrElse(i, Nil); t2 <- by2.getOrElse(j, Nil)) {
         val keep = spec.pairMode match {
           case PairMode.SymmetricConstraint =>
-            t1.c.mkString(Relations.KeySep) < t2.c.mkString(Relations.KeySep)
+            !t1.c.contains(null) && !t2.c.contains(null) &&
+              t1.c.mkString(Relations.KeySep) < t2.c.mkString(Relations.KeySep)
           case PairMode.CrossConstraint if spec.excludeIdenticalConstraint =>
-            t1.c != t2.c
+            t1.c.lazyZip(t2.c).exists((a, b) => a != null && b != null && a != b)
           case _ => true
         }
         if (keep) candidates += ((t1, t2))

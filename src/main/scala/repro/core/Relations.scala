@@ -13,11 +13,7 @@ import org.apache.spark.sql.functions._
 object Relations {
 
   /** Separator used when concatenating constraint values into a single key. */
-  val KeySep = ""
-
-  /** Apply the fixed conjuncts of a trendset's constraint. */
-  def fixedFilter(df: DataFrame, ts: TrendsetSpec): DataFrame =
-    ts.fixedTerms.foldLeft(df) { case (d, (a, v)) => d.filter(col(a).cast("string") === lit(v)) }
+  val KeySep = "\u0001"
 
   /** Group-by aggregate producing the trend relation for one (g, m).
     *
@@ -26,7 +22,7 @@ object Relations {
     * `__v<side>` (aggregated measure, double).
     */
   def trendRel(df: DataFrame, ts: TrendsetSpec, gm: GroupingMeasure, side: Int): DataFrame = {
-    val base = fixedFilter(df, ts)
+    val base = ts.fixedTerms.foldLeft(df) { case (d, (a, v)) => d.filter(col(a).cast("string") === lit(v)) }
     val free = ts.freeAttrs
     val keys = free.map(a => col(a).cast("string").as(s"${a}_$side")) :+
       col(gm.grouping).cast("string").as(s"__g$side")
@@ -43,116 +39,18 @@ object Relations {
     ts.fixedTerms.foldLeft(grouped) { case (d, (a, v)) => d.withColumn(s"${a}_$side", lit(v)) }
   }
 
-  // Cached shared sub-plans ("spools") created by merged execution; benches
-  // clear them between timed stages so storage does not accumulate.
-  private val spools = scala.collection.mutable.ArrayBuffer.empty[DataFrame]
-
-  def clearSpools(): Unit = spools.synchronized {
-    // Blocking: async unpersist would churn the block manager while the next
-    // timed measurement runs.
-    spools.foreach(_.unpersist(blocking = true))
-    spools.clear()
-  }
-
-  /** Cache + eagerly materialize a shared sub-plan and register it for
-    * [[clearSpools]] — the engine-side analogue of a spool.
-    */
-  private[core] def spool(df: DataFrame): DataFrame = {
-    val c = df.cache()
-    c.count()
-    spools.synchronized { spools += c }
-    c
-  }
-
-  /** Trend relations for both sides, sharing scans through the merged
-    * group-by aggregates [[MergeOptimizer]] chooses. Identical trendset
-    * templates (symmetric and cross-measure comparisons) compute side 1 once
-    * and rename for side 2 instead of re-aggregating. Output columns per
-    * relation match [[trendRel]].
-    */
-  private[core] def mergedRels(
-      df: DataFrame, spec: CompareSpec,
-      stats: Option[Stats]): (Map[Int, DataFrame], Map[Int, DataFrame]) = {
-    val rels1 = trendRels(df, spec.t1, 1, mergeGroups(df, spec.t1, stats))
-    val rels2 =
-      if (spec.t1 == spec.t2)
-        rels1.map { case (i, rel) =>
-          val renames = spec.t1.attrs.map(a => s"${a}_1" -> s"${a}_2") ++
-            Seq("__g1" -> "__g2", "__v1" -> "__v2")
-          i -> renames.foldLeft(rel) { case (d, (from, to)) => d.withColumnRenamed(from, to) }
-        }
-      else trendRels(df, spec.t2, 2, mergeGroups(df, spec.t2, stats))
-    (rels1, rels2)
-  }
-
-  private def mergeGroups(df: DataFrame, ts: TrendsetSpec, stats: Option[Stats]): Seq[Seq[Int]] =
-    if (ts.gms.size == 1) Seq(Seq(0))
-    else {
-      val st = stats.getOrElse(Stats.collect(df, ts.freeAttrs ++ ts.gms.map(_.grouping)))
-      MergeOptimizer.optimize(ts, st)
-    }
-
-  private def trendRels(df: DataFrame, ts: TrendsetSpec, side: Int,
-                        groups: Seq[Seq[Int]]): Map[Int, DataFrame] =
-    groups.flatMap { gmIdxs =>
-      if (gmIdxs.size == 1) {
-        val i = gmIdxs.head
-        Seq(i -> trendRel(df, ts, ts.gms(i), side))
-      } else mergedGroup(df, ts, side, gmIdxs)
-    }.toMap
-
-  /** One merged sub-plan: a single group-by over the union of grouping
-    * columns computing decomposable partials (SUM/COUNT/MIN/MAX per measure),
-    * then one re-aggregation per member (g, m) (steps 1–4 of §4.2).
-    */
-  private def mergedGroup(df: DataFrame, ts: TrendsetSpec, side: Int,
-                          gmIdxs: Seq[Int]): Seq[(Int, DataFrame)] = {
-    val base = fixedFilter(df, ts)
-    val groupings = gmIdxs.map(ts.gms(_).grouping).distinct
-    val keyCols = (ts.freeAttrs ++ groupings).map(a => col(a).cast("string").as(a))
-
-    // Partial aggregates, one set per distinct measure column referenced.
-    val measures = gmIdxs.map(ts.gms(_).measure).distinct
-    val partials = measures.flatMap { m =>
-      val c = col(m).cast("double")
-      Seq(sum(c).as(s"__sum_$m"), count(c).as(s"__cnt_$m"),
-          min(c).as(s"__min_$m"), max(c).as(s"__max_$m"))
-    }
-    // Cache + materialize: the merged aggregate is the *shared* sub-plan —
-    // every member (g, m) re-aggregates from it. Without the eager count(),
-    // a single job with several consumer branches would race to compute the
-    // same uncached partitions and duplicate the scan (SQL Server shares the
-    // sub-plan via spools).
-    val merged = spool(base.groupBy(keyCols: _*).agg(partials.head, partials.tail: _*))
-
-    gmIdxs.map { i =>
-      val gm = ts.gms(i)
-      val keys = ts.freeAttrs.map(a => col(a).as(s"${a}_$side")) :+
-        col(gm.grouping).as(s"__g$side")
-      val v: Column = gm.agg match {
-        case AggKind.Avg => sum(col(s"__sum_${gm.measure}")) / sum(col(s"__cnt_${gm.measure}"))
-        case AggKind.Sum => sum(col(s"__sum_${gm.measure}"))
-        case AggKind.Min => min(col(s"__min_${gm.measure}"))
-        case AggKind.Max => max(col(s"__max_${gm.measure}"))
-      }
-      val reagg = merged.groupBy(keys: _*).agg(v.as(s"__v$side"))
-      val withFixed = ts.fixedTerms.foldLeft(reagg) {
-        case (d, (a, fv)) => d.withColumn(s"${a}_$side", lit(fv))
-      }
-      i -> withFixed
-    }
-  }
-
   /** Join condition restricting which trend pairs are compared, per pair mode
     * (the basic plan's `R_i.c != R_j.c`, canonicalized for symmetric sides).
+    * It is SQL's three-valued logic: a symmetric pair with a NULL constraint
+    * value is not emitted, and a cross pair is kept only when some attribute
+    * pair is non-NULL and different.
     */
   def pairCondition(spec: CompareSpec, left: DataFrame, right: DataFrame): Column = {
     val eqG = left("__g1") === right("__g2")
+    def key(cs: Seq[Column]): Column = concat(cs.flatMap(c => Seq(lit(KeySep), c)).tail: _*)
     spec.pairMode match {
       case PairMode.SymmetricConstraint =>
-        val l = concat_ws(KeySep, spec.t1.attrs.map(a => left(s"${a}_1")): _*)
-        val r = concat_ws(KeySep, spec.t2.attrs.map(a => right(s"${a}_2")): _*)
-        eqG && l < r
+        eqG && key(spec.t1.attrs.map(a => left(s"${a}_1"))) < key(spec.t2.attrs.map(a => right(s"${a}_2")))
       case PairMode.CrossConstraint if spec.excludeIdenticalConstraint =>
         val same = spec.t1.attrs.zip(spec.t2.attrs)
           .map { case (a1, a2) => left(s"${a1}_1") === right(s"${a2}_2") }

@@ -4,6 +4,7 @@ import org.apache.spark.sql.{DataFrame, ReproBridge, Row}
 import org.apache.spark.sql.execution.ExpandExec
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
 import org.apache.spark.sql.execution.aggregate.HashAggregateExec
+import org.apache.spark.sql.execution.columnar.InMemoryTableScanExec
 import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.types._
 import repro.core._
@@ -68,6 +69,14 @@ class CompareExecSpec extends SparkSpec {
     assert(Plans.collect(exec.child) { case a: HashAggregateExec => a }.size == 2, exec.treeString)
   }
 
+  test("every (g, m) of the merged-aggregate stage reads the materialized aggregate") {
+    val df = Compare.all(sales, Specs.symCitiesMulti(), Compare.ExecStrategy.MergedOnly)
+    df.collect()
+    val plan = ReproBridge.executedPlan(df)
+    assert(Plans.collect(plan) { case s: InMemoryTableScanExec => s }.isEmpty, plan.treeString)
+    assert(Plans.collect(plan) { case e: ExpandExec => e }.isEmpty, plan.treeString)
+  }
+
   test("single-sided optimization handles symmetric trendsets correctly") {
     // spec.t1 == spec.t2 → one aggregation pass serves both sides.
     val spec = Specs.symCitiesMulti()
@@ -130,13 +139,15 @@ class CompareExecSpec extends SparkSpec {
     Specs.scorer())
 
   /** Both entry points to the trend builder — the operator (all pairs and
-    * top-k) and `TrendCollector` → Φp — against the basic plan, which is
-    * itself checked against the DuckDB oracle.
+    * top-k) and `TrendCollector` → Φp — and the merged-aggregate stage
+    * against the basic plan, which is itself checked against the DuckDB
+    * oracle.
     */
   private def checkEdge(df: DataFrame, spec: CompareSpec, expectedRows: Long): Unit = {
     val basic = BasicExec.run(df, spec)
     assert(basic.count() == expectedRows)
     TestUtil.checkOracle(basic, spec, "t", df)
+    TestUtil.assertSameResult(Compare.all(df, spec, Compare.ExecStrategy.MergedOnly), basic)
 
     val all = CompareSession.compare(df, spec, None)
     TestUtil.assertSameResult(all, basic)
@@ -173,6 +184,10 @@ class CompareExecSpec extends SparkSpec {
       TrendsetSpec(Seq(ConstraintTerm("city", None)), Seq(weekSum)),
       Specs.scorer())
     checkEdge(df, spec, 5)
+    // Pair conditions are SQL's three-valued logic: NULL < 'A' and
+    // NULL <> 'B' are unknown, so the NULL city is in no city-vs-city pair.
+    checkEdge(df, symCity(), 4 * 3 / 2)
+    checkEdge(df, cityVsB, 3)
   }
 
   test("edge: empty input yields no pairs") {

@@ -34,7 +34,7 @@ class StrategyEquivalenceSpec extends SparkSpec {
     }
     test(s"trendwise matches DuckDB oracle directly: $name") {
       TestUtil.checkOracle(
-        Compare.all(sales, spec, Compare.ExecStrategy.Full, Some(stats)),
+        Compare.all(sales, spec, Compare.ExecStrategy.Full),
         spec, "sales", sales)
     }
   }
