@@ -25,8 +25,7 @@ object MiddlewareBaseline {
                           transferredBytes: Long, transferSeconds: Double)
 
   def topK(df: DataFrame, spec: CompareSpec, k: TopK,
-           bandwidthMBps: Double = 50.0,
-           cfg: PrunedTopK.Config = PrunedTopK.Config()): Result = {
+           bandwidthMBps: Double = 50.0): Result = {
     // One aggregate query per (g, m) per side — issued separately, like a
     // visualization tool fetching each chart's data.
     def fetchSide(ts: TrendsetSpec, side: Int, gmIdxs: Seq[Int]): (Seq[TrendRow], Long) = {
@@ -63,7 +62,7 @@ object MiddlewareBaseline {
     // Pace the simulated link (capped so accidental large payloads cannot
     // stall a bench run indefinitely).
     Thread.sleep(math.min(transferSeconds * 1000, 120000L).toLong)
-    val res = PrunedTopK.run(spec, t1, t2, k, cfg)
+    val res = PrunedTopK.run(spec, t1, t2, k)
     Result(res.pairs, res.stats, totalBytes, transferSeconds)
   }
 }

@@ -24,15 +24,14 @@ object UdfBaseline {
   final case class Result(pairs: Seq[ScoredPair], stats: PrunedTopK.PruneStats,
                           marshalledBytes: Long)
 
-  def topK(df: DataFrame, spec: CompareSpec, k: TopK,
-           cfg: PrunedTopK.Config = PrunedTopK.Config()): Result = {
+  def topK(df: DataFrame, spec: CompareSpec, k: TopK): Result = {
     // Aggregate input (the GROUPING SETS union) computed by the engine.
     val (t1, t2) = TrendCollector.collect(df, spec)
     // Marshal the whole aggregate input through serialization, as a UDF
     // invocation would.
     val (t1m, b1) = roundTrip(t1)
     val (t2m, b2) = roundTrip(t2)
-    val res = PrunedTopK.run(spec, t1m, t2m, k, cfg)
+    val res = PrunedTopK.run(spec, t1m, t2m, k)
     Result(res.pairs, res.stats, b1 + b2)
   }
 

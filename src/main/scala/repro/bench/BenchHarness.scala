@@ -22,12 +22,6 @@ object BenchHarness {
     (a, (System.nanoTime() - t0) / 1e9)
   }
 
-  /** Median wall-clock of `reps` runs (no warmup beyond what the caller did). */
-  def median(reps: Int)(f: => Unit): Double = {
-    val ts = (1 to reps).map(_ => time(f)._2).sorted
-    ts(ts.size / 2)
-  }
-
   /** Best of two runs — engine-path timings in a long-lived shared JVM see
     * large one-sided noise (JIT, GC, adaptive execution), and the minimum is
     * the standard robust estimator for that.
@@ -47,28 +41,18 @@ object BenchHarness {
     * trendset-granularity join.
     */
   def runMergedOnly(df: DataFrame, q: Query, stats: Option[Stats] = None): Double = best2 {
-    topKCollect(Compare.all(df, q.spec, Compare.ExecStrategy.MergedOnly, stats), q.topK)
+    topKCollect(BasicExec.runMerged(df, q.spec, stats), q.topK)
   }
 
-  /** Sharing + trendwise partitioned comparison, exhaustive scoring
-    * (ablation stage 3): one shared scan builds the trends, then pairs are
-    * compared independently with no summary-based pruning yet.
+  /** The COMPARE physical operator with Φp configured by `cfg`: the default
+    * is the full operator (ablation stage 5); `usePruning = false` scores
+    * every pair trendwise (stage 3) and `useEarlyTermination = false` prunes
+    * once, then scores the survivors (stage 4).
     */
-  def runTrendwise(df: DataFrame, q: Query): Double = best2 {
-    val (t1, t2) = repro.catalyst.TrendCollector.collect(df, q.spec)
-    PrunedTopK.run(q.spec, t1, t2, q.topK, PrunedTopK.Config(usePruning = false))
-  }
-
-  /** + segment-aggregate pruning, no early termination (ablation stage 4). */
-  def runPrunedNoET(df: DataFrame, q: Query): Double = best2 {
-    val (t1, t2) = repro.catalyst.TrendCollector.collect(df, q.spec)
-    PrunedTopK.run(q.spec, t1, t2, q.topK, PrunedTopK.Config(useEarlyTermination = false))
-  }
-
-  /** The full COMPARE physical operator (Φp with early termination). */
-  def runCompare(df: DataFrame, q: Query): Double = best2 {
-    CompareSession.compare(df, q.spec, Some(q.topK)).collect()
-  }
+  def runCompare(df: DataFrame, q: Query, cfg: PrunedTopK.Config = PrunedTopK.Config()): Double =
+    best2 {
+      CompareSession.compare(df, q.spec, Some(q.topK), cfg).collect()
+    }
 
   def runUdf(df: DataFrame, q: Query): Double = time {
     UdfBaseline.topK(df, q.spec, q.topK)

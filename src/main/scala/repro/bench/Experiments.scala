@@ -119,13 +119,13 @@ object Experiments {
     // Optimizer statistics computed once, like an engine's catalog stats —
     // Algorithm 1 consumes them, their collection is not part of the query.
     val stats = Some(Stats.collect(df, "airport" +: FlightData.AllGroupings))
-    runTrendwise(df, Workloads.flightQ1) // warm
+    runCompare(df, Workloads.flightQ1) // warm
     val rows = Workloads.flightQueries.map { q =>
       AblationRow(q.id,
         runBasic(df, q),
         runMergedOnly(df, q, stats),
-        runTrendwise(df, q),
-        runPrunedNoET(df, q),
+        runCompare(df, q, PrunedTopK.Config(usePruning = false)),
+        runCompare(df, q, PrunedTopK.Config(useEarlyTermination = false)),
         runCompare(df, q))
     }
     table("Fig. 9b (repro): ablation, flight",
@@ -217,19 +217,25 @@ object Experiments {
                           pairsPruned: Long, sturges: Boolean)
 
   /** Latency vs number of segment aggregates (Figure 11) and the equivalent
-    * tuples-per-update view (Figure 12); Q2 over flight.
+    * tuples-per-update view (Figure 12); Q2 over flight, run through the
+    * operator with the segment count set, reading Φp's own metrics.
     */
   def segmentSweep(spark: SparkSession): Seq[SegRow] = {
     val df = materialize(flightData(spark))
     val q = Workloads.flightQ2
-    val (t1, t2) = TrendCollector.collect(df, q.spec)
     val sturgesL = TrendModel.sturges(FlightDays)
+    def phi(cfg: PrunedTopK.Config): Map[String, Long] = {
+      val compared = CompareSession.compare(df, q.spec, Some(q.topK), cfg)
+      compared.collect()
+      CompareTopKExec.in(compared).get.metrics.map { case (name, m) => name -> m.value }
+    }
     val rows = (Seq(1, 2, 4, sturgesL, 16, 32, 64).distinct.sorted).map { l =>
       val cfg = PrunedTopK.Config(numSegments = Some(l))
-      PrunedTopK.run(q.spec, t1, t2, q.topK, cfg) // warm
-      val sec = median(3)(PrunedTopK.run(q.spec, t1, t2, q.topK, cfg))
-      val stats = PrunedTopK.run(q.spec, t1, t2, q.topK, cfg).stats
-      SegRow(l, sec, stats.tuplesCompared, stats.pairsPruned, l == sturgesL)
+      phi(cfg) // warm
+      val runs = Seq.fill(3)(phi(cfg)).sortBy(_("phiTime"))
+      val m = runs(1)
+      SegRow(l, m("phiTime") / 1e3, m("tuplesCompared"),
+        m("pairsPrunedInitial") + m("pairsPrunedSearch"), l == sturgesL)
     }
     table("Fig. 11 (repro): varying number of segment aggregates (Q2, flight)",
       Seq("segments", "Φp time (s)", "tuples compared", "pairs pruned", "Sturges choice"),
@@ -328,7 +334,7 @@ object Experiments {
     val dopRows =
       try Seq(1, 4, 16, 64).map { p =>
         spark.conf.set("spark.sql.shuffle.partitions", p.toString)
-        DopRow(p, runBasic(df, q), runTrendwise(df, q))
+        DopRow(p, runBasic(df, q), runCompare(df, q, PrunedTopK.Config(usePruning = false)))
       } finally spark.conf.set("spark.sql.shuffle.partitions", original)
     table("Fig. 15a (repro): latency vs parallelism (shuffle partitions, Q2 flight)",
       Seq("partitions", "SQL-basic (s)", "COMPARE trendwise (s)"),

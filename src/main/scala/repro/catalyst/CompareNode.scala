@@ -2,17 +2,20 @@ package repro.catalyst
 
 import org.apache.spark.sql.catalyst.expressions.{Attribute, AttributeReference, AttributeSet}
 import org.apache.spark.sql.catalyst.plans.logical.{LogicalPlan, UnaryNode}
-import repro.core.{CompareOutput, CompareSpec, TopK}
+import repro.core.{CompareOutput, CompareSpec, PrunedTopK, TopK}
 
-/** The COMPARE logical operator Φ (§3): carries the comparative expression
-  * and an optional fused top-k. Output attributes are fixed at construction
-  * so they survive `transform`/`copy` without changing `exprId`s.
+/** The COMPARE logical operator Φ (§3): carries the comparative expression,
+  * an optional fused top-k and the configuration of Φp (§5.3), which the
+  * Fig. 9b ablation stages and the Fig. 11 sweep set. Output attributes are
+  * fixed at construction so they survive `transform`/`copy` without changing
+  * `exprId`s.
   */
 case class CompareNode(
     spec: CompareSpec,
     topK: Option[TopK],
     child: LogicalPlan,
-    override val output: Seq[Attribute])
+    override val output: Seq[Attribute],
+    cfg: PrunedTopK.Config)
   extends UnaryNode {
 
   override protected def withNewChildInternal(newChild: LogicalPlan): CompareNode =
@@ -34,12 +37,14 @@ case class CompareNode(
   override def maxRows: Option[Long] = topK.map(_.k.toLong)
 
   override def simpleString(maxFields: Int): String =
-    s"Compare ${spec.toString}${topK.map(k => s" TOP ${k.k} ${if (k.ascending) "ASC" else "DESC"}").getOrElse("")}"
+    s"Compare ${spec.toString}${topK.map(k => s" TOP ${k.k} ${if (k.ascending) "ASC" else "DESC"}").getOrElse("")}" +
+      (if (cfg == PrunedTopK.Config()) "" else s" $cfg")
 }
 
 object CompareNode {
-  def apply(spec: CompareSpec, topK: Option[TopK], child: LogicalPlan): CompareNode =
-    new CompareNode(spec, topK, child, defaultOutput(spec))
+  def apply(spec: CompareSpec, topK: Option[TopK], child: LogicalPlan,
+            cfg: PrunedTopK.Config = PrunedTopK.Config()): CompareNode =
+    new CompareNode(spec, topK, child, defaultOutput(spec), cfg)
 
   def defaultOutput(spec: CompareSpec): Seq[Attribute] =
     CompareOutput.schema(spec).map(f => AttributeReference(f.name, f.dataType, f.nullable)())

@@ -1,7 +1,7 @@
 package repro.catalyst
 
 import org.apache.spark.sql.{DataFrame, ReproBridge, SparkSession, SparkSessionExtensions}
-import repro.core.{CompareSpec, TopK}
+import repro.core.{CompareSpec, PrunedTopK, TopK}
 
 /** Installs the COMPARE extensions on a session.
   *
@@ -39,11 +39,13 @@ object CompareSession {
 
   /** Build a DataFrame whose plan is Φ over `df` — the logical-operator
     * entry point (planned by [[CompareStrategy]] into [[CompareTopKExec]]).
+    * `cfg` configures Φp: the Fig. 9b ablation stages and the Fig. 11 sweep.
     */
-  def compare(df: DataFrame, spec: CompareSpec, topK: Option[TopK] = None): DataFrame = {
+  def compare(df: DataFrame, spec: CompareSpec, topK: Option[TopK] = None,
+              cfg: PrunedTopK.Config = PrunedTopK.Config()): DataFrame = {
     val spark = df.sparkSession
     install(spark)
-    ReproBridge.ofRows(spark, CompareNode(spec, topK, ReproBridge.analyzedPlan(df)))
+    ReproBridge.ofRows(spark, CompareNode(spec, topK, ReproBridge.analyzedPlan(df), cfg))
   }
 }
 

@@ -15,12 +15,14 @@ import repro.core._
   * It collects its child, the trend aggregate of [[TrendAggregation]],
   * assembles the trends on the driver and hands them to [[PrunedTopK]]: with
   * a fused top-k the summarize→bound→prune + early-termination algorithm
-  * runs; without one all pairs are scored trendwise. `executeCollect` returns
-  * the result rows directly, so a COMPARE query is one Spark job.
+  * runs as `cfg` configures it; without one all pairs are scored trendwise.
+  * `executeCollect` returns the result rows directly, so a COMPARE query is
+  * one Spark job.
   */
 case class CompareTopKExec(
     spec: CompareSpec,
     topK: Option[TopK],
+    cfg: PrunedTopK.Config,
     override val output: Seq[Attribute],
     child: SparkPlan)
   extends UnaryExecNode {
@@ -45,7 +47,7 @@ case class CompareTopKExec(
 
     val t0 = System.nanoTime()
     val res = topK.fold(PrunedTopK.run(spec, t1Rows, t2Rows, TopK(Int.MaxValue, ascending = true),
-      PrunedTopK.Config(usePruning = false)))(PrunedTopK.run(spec, t1Rows, t2Rows, _))
+      cfg.copy(usePruning = false)))(PrunedTopK.run(spec, t1Rows, t2Rows, _, cfg))
     val st = res.stats
     Seq("trends" -> st.trendCount, "pairs" -> st.pairsTotal,
       "pairsPrunedInitial" -> st.pairsPrunedInitial, "pairsPrunedSearch" -> st.pairsPrunedSearch,

@@ -28,13 +28,12 @@ object PkFkHints {
   */
 object PushCompareBelowJoin extends Rule[LogicalPlan] {
   override def apply(plan: LogicalPlan): LogicalPlan = plan.transformUp {
-    case cn @ CompareNode(spec, topK, Join(left, right, Inner, Some(cond), _), out) =>
-      tryPush(spec, topK, left, right, cond, out).getOrElse(cn)
+    case cn @ CompareNode(_, _, Join(left, right, Inner, Some(cond), _), _, _) =>
+      tryPush(cn, left, right, cond).getOrElse(cn)
   }
 
-  private def tryPush(spec: CompareSpec, topK: Option[TopK], left: LogicalPlan,
-                      right: LogicalPlan, cond: Expression,
-                      out: Seq[Attribute]): Option[LogicalPlan] = cond match {
+  private def tryPush(cn: CompareNode, left: LogicalPlan, right: LogicalPlan,
+                      cond: Expression): Option[LogicalPlan] = cond match {
     case EqualTo(a: AttributeReference, b: AttributeReference) =>
       def sideOf(attr: AttributeReference): Option[Boolean] = // true = left
         if (left.outputSet.contains(attr)) Some(true)
@@ -42,17 +41,16 @@ object PushCompareBelowJoin extends Rule[LogicalPlan] {
       (sideOf(a), sideOf(b)) match {
         case (Some(sa), Some(sb)) if sa != sb =>
           val (l, r) = if (sa) (a, b) else (b, a) // l on left, r on right
-          push(spec, topK, left, l, right, r, out)
-            .orElse(push(spec, topK, right, r, left, l, out))
+          push(cn, left, l, right, r).orElse(push(cn, right, r, left, l))
         case _ => None
       }
     case _ => None
   }
 
   /** Attempt with `fact` holding the FK `fk` and `dim` holding the PK `pk`. */
-  private def push(spec: CompareSpec, topK: Option[TopK], fact: LogicalPlan,
-                   fk: AttributeReference, dim: LogicalPlan, pk: AttributeReference,
-                   out: Seq[Attribute]): Option[LogicalPlan] = {
+  private def push(cn: CompareNode, fact: LogicalPlan, fk: AttributeReference,
+                   dim: LogicalPlan, pk: AttributeReference): Option[LogicalPlan] = {
+    val spec = cn.spec
     if (!PkFkHints.isRegistered(pk.name, fk.name)) return None
     val factCols = fact.output.map(_.name.toLowerCase).toSet
     val dimCols  = dim.output.map(_.name.toLowerCase).toSet
@@ -66,7 +64,7 @@ object PushCompareBelowJoin extends Rule[LogicalPlan] {
       ts.constraint.map(t => t.copy(attr = rename(t.attr))),
       ts.gms.map(g => g.copy(grouping = rename(g.grouping), measure = rename(g.measure))))
     val spec2 = CompareSpec(renameTs(spec.t1), renameTs(spec.t2), spec.scorer)
-    Some(CompareNode(spec2, topK, fact, out))
+    Some(cn.copy(spec = spec2, child = fact))
   }
 }
 
@@ -79,7 +77,7 @@ object PushCompareBelowJoin extends Rule[LogicalPlan] {
   */
 object PushFilterBelowCompare extends Rule[LogicalPlan] {
   override def apply(plan: LogicalPlan): LogicalPlan = plan.transformUp {
-    case f @ Filter(cond, cn @ CompareNode(spec, topK, child, out))
+    case f @ Filter(cond, cn @ CompareNode(spec, _, child, _, _))
         if spec.t1.attrs == spec.t2.attrs =>
       val conjuncts = splitConjuncts(cond)
       val pushable = spec.t1.freeAttrs.flatMap { a =>
@@ -132,7 +130,7 @@ object PushFilterBelowCompare extends Rule[LogicalPlan] {
   */
 object DedupBelowCompare extends Rule[LogicalPlan] {
   override def apply(plan: LogicalPlan): LogicalPlan = plan.transformUp {
-    case cn @ CompareNode(spec, topK, child, out)
+    case cn @ CompareNode(spec, _, child, _, _)
         if (spec.t1.gms ++ spec.t2.gms).forall(g => g.agg == AggKind.Min || g.agg == AggKind.Max) &&
           !alreadyDeduped(spec, child) =>
       val cols = spec.referencedColumns.flatMap(c => child.output.find(_.name.equalsIgnoreCase(c)))

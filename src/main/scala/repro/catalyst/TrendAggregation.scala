@@ -172,7 +172,7 @@ private[repro] final class TrendAggregation(spec: CompareSpec,
 }
 
 /** [[CompareTopKExec]]'s trend aggregate run through the Dataset API, for
-  * driver-side top-k (`Compare.topK`, the UDF baseline, the benches).
+  * the UDF baseline, whose driver-side copy of the trends is what it models.
   */
 object TrendCollector {
   def collect(df: DataFrame, spec: CompareSpec): (Seq[TrendRow], Seq[TrendRow]) = {

@@ -31,7 +31,7 @@ object BasicExec {
     * push a member's filter into it and undo the sharing; every member reads
     * its trend relation out of it. Symmetric specs aggregate one side for both.
     */
-  private[core] def runMerged(df: DataFrame, spec: CompareSpec, stats: Option[Stats]): DataFrame = {
+  def runMerged(df: DataFrame, spec: CompareSpec, stats: Option[Stats]): DataFrame = {
     val shared = (for {
       ts <- Seq(spec.t1, spec.t2).distinct
       group <- if (ts.gms.size == 1) Seq(Seq(0))

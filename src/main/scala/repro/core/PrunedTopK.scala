@@ -80,8 +80,7 @@ object PrunedTopK {
       for (t1 <- by1.getOrElse(i, Nil); t2 <- by2.getOrElse(j, Nil)) {
         val keep = spec.pairMode match {
           case PairMode.SymmetricConstraint =>
-            !t1.c.contains(null) && !t2.c.contains(null) &&
-              t1.c.mkString(Relations.KeySep) < t2.c.mkString(Relations.KeySep)
+            !t1.c.contains(null) && !t2.c.contains(null) && t1.key.compareTo(t2.key) < 0
           case PairMode.CrossConstraint if spec.excludeIdenticalConstraint =>
             t1.c.lazyZip(t2.c).exists((a, b) => a != null && b != null && a != b)
           case _ => true
@@ -93,14 +92,20 @@ object PrunedTopK {
     var tuplesCompared = 0L
     var segmentsProcessed = 0L
 
-    def mkPair(t1: SegTrend, t2: SegTrend, score: Double): ScoredPair =
-      ScoredPair(t1.c, t2.c, t1.gm, t2.gm, score)
-
-    def sortSelect(all: Seq[ScoredPair]): Seq[ScoredPair] = {
-      val sorted = all.sortBy(p =>
-        (if (topK.ascending) p.score else -p.score,
-         p.c1.mkString(Relations.KeySep), p.c2.mkString(Relations.KeySep), p.gm1, p.gm2))
-      sorted.take(topK.k)
+    /** The k best by score, ties broken by the two constraint keys in
+      * UTF-8 byte order (as Spark and DuckDB order strings), then the (g, m)s.
+      */
+    def sortSelect(all: Seq[(SegTrend, SegTrend, Double)]): Seq[ScoredPair] = {
+      def rankScore(s: Double): Double = if (topK.ascending) s else -s
+      val rank: Ordering[(SegTrend, SegTrend, Double)] = (a, b) => {
+        var c = java.lang.Double.compare(rankScore(a._3), rankScore(b._3))
+        if (c == 0) c = a._1.key.compareTo(b._1.key)
+        if (c == 0) c = a._2.key.compareTo(b._2.key)
+        if (c == 0) c = Integer.compare(a._1.gm, b._1.gm)
+        if (c == 0) c = Integer.compare(a._2.gm, b._2.gm)
+        c
+      }
+      all.sorted(rank).take(topK.k).map { case (t1, t2, s) => ScoredPair(t1.c, t2.c, t1.gm, t2.gm, s) }
     }
 
     val boundsSupported =
@@ -111,7 +116,7 @@ object PrunedTopK {
       val scored = candidates.flatMap { case (t1, t2) =>
         val (s, touched) = exactScore(t1, t2, spec.scorer)
         tuplesCompared += touched
-        s.map(mkPair(t1, t2, _))
+        s.map((t1, t2, _))
       }
       return Result(sortSelect(scored.toSeq),
         PruneStats(candidates.size, 0, 0, 0, tuplesCompared, trendCount, summaryDoubles))
@@ -163,14 +168,12 @@ object PrunedTopK {
       .filter(_.totalMatched > 0)
     val pairsTotal = pairs.size.toLong
 
-    // Pruning threshold T: the k-th best guarantee over distinct pairs
-    // (recomputed lazily as guarantees improve — stale thresholds are only
-    // weaker, never unsound).
-    def kthBestGuarantee(): Double =
+    // Pruning threshold T: the k-th best initial guarantee over distinct
+    // pairs. It is not raised during the search: the priority queue alone
+    // ends it, and T only keeps hopeless pairs out of the queue.
+    val threshold =
       if (pairs.size < topK.k) Double.NegativeInfinity
       else pairs.map(_.guarantee).sorted(Ordering[Double].reverse)(topK.k - 1)
-
-    var threshold = kthBestGuarantee()
     val initiallyAlive = pairs.filter(_.optimistic >= threshold)
     val pairsPrunedInitial = pairsTotal - initiallyAlive.size
 
@@ -178,7 +181,7 @@ object PrunedTopK {
       // Prune once, then score the survivors exactly.
       val scored = initiallyAlive.map { st =>
         while (!st.done) st.processOneSegment()
-        mkPair(st.t1, st.t2, st.exactScoreNow)
+        (st.t1, st.t2, st.exactScoreNow)
       }
       return Result(sortSelect(scored.toSeq),
         PruneStats(pairsTotal, pairsPrunedInitial, 0, segmentsProcessed,
@@ -188,20 +191,15 @@ object PrunedTopK {
     // --- Early termination (Algorithm 2): refine the most promising pair ---
     val pq = mutable.PriorityQueue.empty[PairState](Ordering.by(_.optimistic))
     initiallyAlive.foreach(pq.enqueue(_))
-    val results = mutable.ArrayBuffer.empty[ScoredPair]
+    val results = mutable.ArrayBuffer.empty[(SegTrend, SegTrend, Double)]
     var pairsPrunedSearch = 0L
-    var sinceRecompute = 0
 
     while (results.size < topK.k && pq.nonEmpty) {
       val top = pq.dequeue()
-      if (top.optimistic < threshold) {
-        pairsPrunedSearch += 1 // pruned by a threshold that improved after insertion
-      } else if (top.done) {
-        results += mkPair(top.t1, top.t2, top.exactScoreNow)
+      if (top.done) {
+        results += ((top.t1, top.t2, top.exactScoreNow))
       } else {
         top.processOneSegment()
-        sinceRecompute += 1
-        if (sinceRecompute >= 256) { threshold = kthBestGuarantee(); sinceRecompute = 0 }
         if (top.optimistic >= threshold) pq.enqueue(top)
         else pairsPrunedSearch += 1
       }

@@ -2,6 +2,8 @@ package repro.core
 
 import java.util.BitSet
 
+import org.apache.spark.unsafe.types.UTF8String
+
 /** Data structures of the Φp pruning operator (§5.1): the grouping-value
   * dictionary, per-trend sorted arrays, segment aggregates and bitmaps, and
   * the bound computations of Appendix B.
@@ -65,6 +67,10 @@ object TrendModel {
     val n: Int = codes.length
     /** Dense = one tuple for every dictionary value (the common OLAP case). */
     val dense: Boolean = n == seg.domain
+    /** The constraint values joined as [[Relations.pairCondition]] joins them,
+      * ordered by UTF-8 bytes as Spark and DuckDB order strings.
+      */
+    lazy val key: UTF8String = UTF8String.fromString(c.mkString(Relations.KeySep))
   }
 
   def buildTrend(row: TrendRow, dict: GroupingDict, seg: Segmentation): SegTrend = {

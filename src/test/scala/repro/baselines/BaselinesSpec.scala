@@ -1,5 +1,6 @@
 package repro.baselines
 
+import repro.catalyst.CompareSession
 import repro.core._
 import repro.workload.Workloads
 import repro.{SparkSpec, TestData, TestUtil}
@@ -20,7 +21,7 @@ class BaselinesSpec extends SparkSpec {
   for ((name, spec) <- shapes; asc <- Seq(true, false)) {
     val k = TopK(3, asc)
     test(s"UDF baseline top-k == COMPARE top-k: $name ${if (asc) "ASC" else "DESC"}") {
-      val (cmp, _) = Compare.topK(sales, spec, k)
+      val cmp = CompareSession.compare(sales, spec, Some(k))
       val cmpScores = cmp.collect().map(_.getAs[Double]("score"))
         .map(s => math.rint(s * 1e4) / 1e4).sorted.toSeq
       val udf = UdfBaseline.topK(sales, spec, k)
@@ -31,7 +32,7 @@ class BaselinesSpec extends SparkSpec {
   for ((name, spec) <- shapes) {
     val k = TopK(3, ascending = true)
     test(s"MIDDLEWARE baseline top-k == COMPARE top-k: $name") {
-      val (cmp, _) = Compare.topK(sales, spec, k)
+      val cmp = CompareSession.compare(sales, spec, Some(k))
       val cmpScores = cmp.collect().map(_.getAs[Double]("score"))
         .map(s => math.rint(s * 1e4) / 1e4).sorted.toSeq
       // Large bandwidth → negligible simulated transfer delay in tests.
@@ -63,7 +64,7 @@ class BaselinesSpec extends SparkSpec {
   test("baselines agree with COMPARE on a Table-4 workload at toy scale") {
     val flight = repro.flight.FlightData.flights(spark, nAirports = 12, nDays = 40, rowsPerCell = 2).cache()
     val q = Workloads.flightQ2
-    val (cmp, _) = Compare.topK(flight, q.spec, q.topK)
+    val cmp = CompareSession.compare(flight, q.spec, Some(q.topK))
     val cmpScores = cmp.collect().map(_.getAs[Double]("score"))
       .map(s => math.rint(s * 1e4) / 1e4).sorted.toSeq
     val udf = UdfBaseline.topK(flight, q.spec, q.topK)

@@ -7,6 +7,7 @@ import org.apache.spark.sql.execution.aggregate.HashAggregateExec
 import org.apache.spark.sql.execution.columnar.InMemoryTableScanExec
 import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.types._
+import repro.baselines.UdfBaseline
 import repro.core._
 import repro.{SparkSpec, TestData, TestUtil}
 
@@ -40,14 +41,29 @@ class CompareExecSpec extends SparkSpec {
     assert(logical.treeString.contains("USING SUM OVER DIFF(2)"))
   }
 
+  test("EXPLAIN shows a non-default Φp config; the default one adds nothing") {
+    val cfg = PrunedTopK.Config(numSegments = Some(3), useEarlyTermination = false)
+    val df = CompareSession.compare(sales, Specs.ex1a(), Some(TopK(3, ascending = true)), cfg)
+    val explained = new java.io.ByteArrayOutputStream()
+    Console.withOut(explained)(df.explain(true))
+    val lines = explained.toString.split("\n")
+    for (op <- Seq("Compare COMPARE", "CompareTopK COMPARE"))
+      assert(lines.exists(l => l.contains(op) && l.contains(cfg.toString)), explained.toString)
+
+    val node = CompareNode(Specs.ex1a(), Some(TopK(3, ascending = true)), ReproBridge.analyzedPlan(sales))
+    assert(node.simpleString(10) == s"Compare ${Specs.ex1a()} TOP 3 ASC")
+  }
+
+  // The operator's top-k against the basic plan's scores ordered and cut at k.
   for ((name, spec) <- Specs.gridSmall; asc <- Seq(true, false)) {
     test(s"fused top-k (${if (asc) "ASC" else "DESC"}) matches driver-side Φp: $name") {
       val k = TopK(3, asc)
-      val viaExec = CompareSession.compare(sales, spec, Some(k))
-        .collect().map(_.getAs[Double]("score")).map(s => math.rint(s * 1e4) / 1e4).sorted.toSeq
-      val (viaApi, _) = Compare.topK(sales, spec, k)
-      val expect = viaApi.collect().map(_.getAs[Double]("score")).map(s => math.rint(s * 1e4) / 1e4).sorted.toSeq
-      assert(viaExec == expect, name)
+      def scores(df: DataFrame): Seq[Double] = df.collect().map(_.getAs[Double]("score")).sorted.toSeq
+      val viaExec = scores(CompareSession.compare(sales, spec, Some(k)))
+      val expect = scores(BasicExec.run(sales, spec)
+        .orderBy(if (asc) col("score").asc else col("score").desc).limit(k.k))
+      assert(viaExec.size == expect.size && viaExec.lazyZip(expect).forall((a, b) =>
+        math.abs(a - b) <= TestUtil.RelTol * math.max(1.0, math.abs(b))), s"$name: $viaExec vs $expect")
     }
   }
 
@@ -70,7 +86,7 @@ class CompareExecSpec extends SparkSpec {
   }
 
   test("every (g, m) of the merged-aggregate stage reads the materialized aggregate") {
-    val df = Compare.all(sales, Specs.symCitiesMulti(), Compare.ExecStrategy.MergedOnly)
+    val df = BasicExec.runMerged(sales, Specs.symCitiesMulti(), None)
     df.collect()
     val plan = ReproBridge.executedPlan(df)
     assert(Plans.collect(plan) { case s: InMemoryTableScanExec => s }.isEmpty, plan.treeString)
@@ -107,8 +123,12 @@ class CompareExecSpec extends SparkSpec {
     val k = TopK(2, ascending = true)
     val expect = basic.orderBy("score").limit(k.k)
     TestUtil.assertSameResult(CompareSession.compare(df, spec, Some(k)), expect)
-    TestUtil.assertSameResult(Compare.topK(df, spec, k)._1, expect)
+    TestUtil.assertSameResult(udfTopK(df, spec, k), expect)
   }
+
+  /** The UDF baseline's driver-side copy of Φp, in the core output schema. */
+  private def udfTopK(df: DataFrame, spec: CompareSpec, k: TopK): DataFrame =
+    CompareOutput.toDf(spark, spec, UdfBaseline.topK(df, spec, k).pairs)
 
   // ---- edge cases of the trend builder: NULLs, empty input, DECIMAL keys,
   // two sides over one scan
@@ -138,29 +158,26 @@ class CompareExecSpec extends SparkSpec {
     TrendsetSpec(Seq(ConstraintTerm("city", Some("B"))), Seq(weekSum)),
     Specs.scorer())
 
-  /** Both entry points to the trend builder — the operator (all pairs and
-    * top-k) and `TrendCollector` → Φp — and the merged-aggregate stage
-    * against the basic plan, which is itself checked against the DuckDB
-    * oracle.
+  /** Both users of the trend builder — the operator (all pairs and top-k)
+    * and the UDF baseline's driver-side `TrendCollector` → Φp (every pair
+    * and top-k) — and the merged-aggregate stage against the basic plan,
+    * which is itself checked against the DuckDB oracle.
     */
   private def checkEdge(df: DataFrame, spec: CompareSpec, expectedRows: Long): Unit = {
     val basic = BasicExec.run(df, spec)
     assert(basic.count() == expectedRows)
     TestUtil.checkOracle(basic, spec, "t", df)
-    TestUtil.assertSameResult(Compare.all(df, spec, Compare.ExecStrategy.MergedOnly), basic)
+    TestUtil.assertSameResult(BasicExec.runMerged(df, spec, None), basic)
 
     val all = CompareSession.compare(df, spec, None)
     TestUtil.assertSameResult(all, basic)
     TestUtil.checkOracle(all, spec, "t", df)
-    val (t1, t2) = TrendCollector.collect(df, spec)
-    val exhaustive = PrunedTopK.run(spec, t1, t2, TopK(Int.MaxValue, ascending = true),
-      PrunedTopK.Config(usePruning = false))
-    TestUtil.assertSameResult(CompareOutput.toDf(spark, spec, exhaustive.pairs), basic)
+    TestUtil.assertSameResult(udfTopK(df, spec, TopK(Int.MaxValue, ascending = true)), basic)
 
     val k = TopK(2, ascending = true)
     val expect = basic.orderBy("score").limit(k.k)
     TestUtil.assertSameResult(CompareSession.compare(df, spec, Some(k)), expect)
-    TestUtil.assertSameResult(Compare.topK(df, spec, k)._1, expect)
+    TestUtil.assertSameResult(udfTopK(df, spec, k), expect)
   }
 
   test("edge: a NULL grouping value belongs to no trend") {
@@ -199,6 +216,27 @@ class CompareExecSpec extends SparkSpec {
   test("edge: DECIMAL grouping values are keyed as CAST(… AS STRING)") {
     val df = edgeDf(edgeRows).withColumn("week", (col("week") * 1.5).cast(DecimalType(4, 1)))
     checkEdge(df, symCity(), 4 * 3 / 2)
+  }
+
+  test("edge: a spec with no comparable (g, m) pair yields no rows") {
+    val cityA = TrendsetSpec(Seq(ConstraintTerm("city", Some("A"))), Seq(weekSum))
+    val spec = CompareSpec(cityA, cityA, Specs.scorer())
+    assert(spec.comparableGmPairs.isEmpty)
+    val df = edgeDf(edgeRows)
+    val basic = BasicExec.run(df, spec)
+    assert(basic.count() == 0)
+    TestUtil.assertSameResult(CompareSession.compare(df, spec, None), basic)
+    TestUtil.assertSameResult(CompareSession.compare(df, spec, Some(TopK(2, ascending = true))), basic)
+  }
+
+  test("edge: symmetric pairs are oriented in UTF-8 byte order") {
+    // U+E000 sorts before U+1F600 in UTF-8 but after its surrogate pair in
+    // UTF-16; Spark and DuckDB compare the UTF-8 bytes.
+    val rows = for {
+      (city, ci) <- Seq("\uE000", "\uD83D\uDE00", "A").zipWithIndex
+      week <- 1 to 4
+    } yield Row(city, "P0", week, (ci + 1) * week + 0.37 * ci * ci + 0.011 * week * week)
+    checkEdge(edgeDf(rows), symCity(), 3)
   }
 
   test("edge: a fixed and a free side share one scan") {

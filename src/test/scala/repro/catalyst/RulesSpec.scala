@@ -105,6 +105,24 @@ class RulesSpec extends SparkSpec {
     TestUtil.assertSameResult(filtered, expect)
   }
 
+  test("a non-default Φp config survives R1 and R3") {
+    val cfg = PrunedTopK.Config(numSegments = Some(2), usePruning = false)
+    PkFkHints.clear()
+    PkFkHints.register("wp_web_page_sk", "ws_web_page_sk")
+    val joined = fact.join(dim, fact("ws_web_page_sk") === dim("wp_web_page_sk"))
+    val node = CompareNode(wsSpec("wp_web_page_sk"), None, ReproBridge.analyzedPlan(joined), cfg)
+    val pushed = PushCompareBelowJoin(node).collectFirst { case c: CompareNode => c }.get
+    assert(pushed.spec != node.spec, "R1 must fire")
+    assert(pushed.cfg == cfg)
+
+    CompareSession.install(spark)
+    val filtered = CompareSession.compare(sales, Specs.symCities(), None, cfg)
+      .where(col("city_1").isin("City1", "City2") && col("city_2").isin("City1", "City2"))
+    val cn = ReproBridge.optimizedPlan(filtered).collectFirst { case c: CompareNode => c }.get
+    assert(cn.child.isInstanceOf[org.apache.spark.sql.catalyst.plans.logical.Filter], "R3 must fire")
+    assert(cn.cfg == cfg)
+  }
+
   // ---------------------------------------------------------------- R2
 
   private def minMaxSpec: CompareSpec = {

@@ -1,5 +1,6 @@
 package repro.core
 
+import repro.catalyst.CompareSession
 import repro.{SparkSpec, TestData, TestUtil}
 
 /** The §4.2 optimizations are rewrites, not semantic changes: merged-aggregate
@@ -13,14 +14,14 @@ class StrategyEquivalenceSpec extends SparkSpec {
   private lazy val stats =
     Stats.collect(sales, Seq("region", "city", "product", "week", "month", "country"))
 
-  // The DataFrame entry to the trend builder (`TrendCollector` → Φp);
-  // CompareExecSpec checks the operator entry on the same grid.
+  // The operator with pruning on and a k above the pair count: Φp refines
+  // every pair segment at a time to its exact score. CompareExecSpec checks
+  // the exhaustive (no top-k) operator on the same grid.
   for ((name, spec) <- Specs.grid) {
     test(s"trendwise (merge+partition) == basic: $name") {
-      val all = TopK(Int.MaxValue, ascending = true)
       TestUtil.assertSameResult(
-        Compare.topK(sales, spec, all, PrunedTopK.Config(usePruning = false))._1,
-        Compare.all(sales, spec, Compare.ExecStrategy.Basic),
+        CompareSession.compare(sales, spec, Some(TopK(Int.MaxValue, ascending = true))),
+        BasicExec.run(sales, spec),
         name)
     }
   }
@@ -28,14 +29,12 @@ class StrategyEquivalenceSpec extends SparkSpec {
   for ((name, spec) <- Specs.gridSmall) {
     test(s"merged-only == basic: $name") {
       TestUtil.assertSameResult(
-        Compare.all(sales, spec, Compare.ExecStrategy.MergedOnly, Some(stats)),
-        Compare.all(sales, spec, Compare.ExecStrategy.Basic),
+        BasicExec.runMerged(sales, spec, Some(stats)),
+        BasicExec.run(sales, spec),
         name)
     }
     test(s"trendwise matches DuckDB oracle directly: $name") {
-      TestUtil.checkOracle(
-        Compare.all(sales, spec, Compare.ExecStrategy.Full),
-        spec, "sales", sales)
+      TestUtil.checkOracle(CompareSession.compare(sales, spec), spec, "sales", sales)
     }
   }
 }

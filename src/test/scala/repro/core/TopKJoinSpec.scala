@@ -1,5 +1,6 @@
 package repro.core
 
+import repro.catalyst.CompareSession
 import repro.{SparkSpec, TestData, TestUtil}
 
 /** §3.2: COMPARE composed with ORDER BY / LIMIT / join-back to select the
@@ -11,7 +12,7 @@ class TopKJoinSpec extends SparkSpec {
 
   test("top-1 most-similar pair of cities matches exhaustive scoring") {
     val spec = Specs.symCities()
-    val (top, _) = Compare.topK(sales, spec, TopK(1, ascending = true))
+    val top = CompareSession.compare(sales, spec, Some(TopK(1, ascending = true)))
     val full = BasicExec.run(sales, spec).collect()
       .sortBy(r => (r.getAs[Double]("score"), r.getAs[String]("city_1")))
     val t = top.collect().head
@@ -20,7 +21,7 @@ class TopKJoinSpec extends SparkSpec {
 
   test("topKJoin returns base tuples of both trends in the top pair (example 2a)") {
     val spec = Specs.symCities()
-    val (top, _) = Compare.topK(sales, spec, TopK(1, ascending = true))
+    val top = CompareSession.compare(sales, spec, Some(TopK(1, ascending = true)))
     val pair = top.collect().head
     val c1 = pair.getAs[String]("city_1"); val c2 = pair.getAs[String]("city_2")
     val joined = Compare.topKJoin(sales, spec, TopK(1, ascending = true))
@@ -33,7 +34,7 @@ class TopKJoinSpec extends SparkSpec {
 
   test("topKJoin row count equals the base tuple count of the two trends") {
     val spec = Specs.symCities()
-    val (top, _) = Compare.topK(sales, spec, TopK(1, ascending = false))
+    val top = CompareSession.compare(sales, spec, Some(TopK(1, ascending = false)))
     val pair = top.collect().head
     val expected = sales
       .where(sales("city").isin(pair.getAs[String]("city_1"), pair.getAs[String]("city_2")))
@@ -43,7 +44,7 @@ class TopKJoinSpec extends SparkSpec {
 
   test("example 1a end-to-end: most different product from Asia's overall trend") {
     val spec = Specs.ex1a()
-    val (top, _) = Compare.topK(sales, spec, TopK(1, ascending = false))
+    val top = CompareSession.compare(sales, spec, Some(TopK(1, ascending = false)))
     val best = top.collect().head
     val product = best.getAs[String]("product_2")
     // Verify against exhaustive scoring.
@@ -54,8 +55,8 @@ class TopKJoinSpec extends SparkSpec {
 
   test("ascending and descending top-1 differ on separable data") {
     val spec = Specs.symCities()
-    val (lo, _) = Compare.topK(sales, spec, TopK(1, ascending = true))
-    val (hi, _) = Compare.topK(sales, spec, TopK(1, ascending = false))
+    val lo = CompareSession.compare(sales, spec, Some(TopK(1, ascending = true)))
+    val hi = CompareSession.compare(sales, spec, Some(TopK(1, ascending = false)))
     assert(lo.collect().head.getAs[Double]("score") <
       hi.collect().head.getAs[Double]("score"))
   }
@@ -63,7 +64,7 @@ class TopKJoinSpec extends SparkSpec {
   test("top-k scores agree with oracle-ranked scores") {
     val spec = Specs.symCities()
     val k = 5
-    val (top, _) = Compare.topK(sales, spec, TopK(k, ascending = true))
+    val top = CompareSession.compare(sales, spec, Some(TopK(k, ascending = true)))
     val oracleScores = BasicExec.run(sales, spec).collect()
       .map(_.getAs[Double]("score")).sorted.take(k)
     val got = top.collect().map(_.getAs[Double]("score")).sorted

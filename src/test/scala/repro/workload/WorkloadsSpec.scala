@@ -1,6 +1,7 @@
 package repro.workload
 
-import repro.catalyst.TrendCollector
+import org.apache.spark.sql.DataFrame
+import repro.catalyst.CompareSession
 import repro.core._
 import repro.flight.FlightData
 import repro.tpcds.WebSalesData
@@ -15,6 +16,12 @@ class WorkloadsSpec extends SparkSpec {
     rowsPerCell = 2).cache()
   private lazy val websales = WebSalesData.webSales(spark, rows = 10000, nWebPages = 10,
     nItems = 20, nDays = 15).cache()
+
+  /** Rounded scores of the operator's top-k under Φp configuration `cfg`. */
+  private def topKScores(df: DataFrame, q: Workloads.Query,
+                         cfg: PrunedTopK.Config = PrunedTopK.Config()): Seq[Double] =
+    CompareSession.compare(df, q.spec, Some(q.topK), cfg).collect()
+      .map(r => math.rint(r.getAs[Double]("score") * 1e4) / 1e4).sorted.toSeq
 
   test("Q1 is one-to-many with self-pair excluded") {
     val q = Workloads.flightQ1
@@ -49,30 +56,22 @@ class WorkloadsSpec extends SparkSpec {
     }
     test(s"${q.id} trendwise == basic") {
       TestUtil.assertSameResult(
-        Compare.all(flight, q.spec, Compare.ExecStrategy.Full),
-        Compare.all(flight, q.spec, Compare.ExecStrategy.Basic), q.id)
+        CompareSession.compare(flight, q.spec), BasicExec.run(flight, q.spec), q.id)
     }
     test(s"${q.id} pruned top-k == exhaustive top-k") {
-      val (t1, t2) = TrendCollector.collect(flight, q.spec)
-      val fast = PrunedTopK.run(q.spec, t1, t2, q.topK)
-      val slow = PrunedTopK.run(q.spec, t1, t2, q.topK, PrunedTopK.Config(usePruning = false))
-      assert(TestUtil.scoreBag(fast.pairs) == TestUtil.scoreBag(slow.pairs))
+      assert(topKScores(flight, q) == topKScores(flight, q, PrunedTopK.Config(usePruning = false)))
     }
   }
 
   for (q <- Seq(Workloads.tpcdsQ1, Workloads.tpcdsQ2, Workloads.tpcdsQ3)) {
     test(s"${q.id} trendwise == basic on websales") {
       TestUtil.assertSameResult(
-        Compare.all(websales, q.spec, Compare.ExecStrategy.Full),
-        Compare.all(websales, q.spec, Compare.ExecStrategy.Basic), q.id)
+        CompareSession.compare(websales, q.spec), BasicExec.run(websales, q.spec), q.id)
     }
   }
 
   test("TPCDS Q4 pruned top-k == exhaustive") {
     val q = Workloads.tpcdsQ4
-    val (t1, t2) = TrendCollector.collect(websales, q.spec)
-    val fast = PrunedTopK.run(q.spec, t1, t2, q.topK)
-    val slow = PrunedTopK.run(q.spec, t1, t2, q.topK, PrunedTopK.Config(usePruning = false))
-    assert(TestUtil.scoreBag(fast.pairs) == TestUtil.scoreBag(slow.pairs))
+    assert(topKScores(websales, q) == topKScores(websales, q, PrunedTopK.Config(usePruning = false)))
   }
 }
