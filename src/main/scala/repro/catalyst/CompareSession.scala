@@ -35,7 +35,7 @@ object CompareSession {
       spark.experimental.extraOptimizations.filterNot(_ == ReduceToCompare)
   }
 
-  private def baseRules = Seq(PushCompareBelowJoin, PushFilterBelowCompare, DedupBelowCompare)
+  private[catalyst] def baseRules = Seq(PushCompareBelowJoin, PushFilterBelowCompare, DedupBelowCompare)
 
   /** Build a DataFrame whose plan is Φ over `df` — the logical-operator
     * entry point (planned by [[CompareStrategy]] into [[CompareTopKExec]]).
@@ -55,9 +55,7 @@ object CompareSession {
 class CompareExtensions extends (SparkSessionExtensions => Unit) {
   override def apply(ext: SparkSessionExtensions): Unit = {
     ext.injectPlannerStrategy(session => new CompareStrategy(session))
-    ext.injectOptimizerRule(_ => PushCompareBelowJoin)
-    ext.injectOptimizerRule(_ => PushFilterBelowCompare)
-    ext.injectOptimizerRule(_ => DedupBelowCompare)
+    CompareSession.baseRules.foreach(rule => ext.injectOptimizerRule(_ => rule))
     ext.injectParser((_, delegate) => new CompareSqlParser(delegate))
   }
 }

@@ -23,17 +23,14 @@ import repro.core._
   */
 class CompareSqlParser(delegate: ParserInterface) extends ParserInterface {
 
-  override def parsePlan(sqlText: String): LogicalPlan = {
+  /** A COMPARE statement, or else `sqlText` parsed by `orElse`. */
+  private def compareOr(sqlText: String)(orElse: String => LogicalPlan): LogicalPlan = {
     val t = sqlText.trim
-    if (t.toUpperCase.startsWith("COMPARE ")) CompareStatementParser.parse(t)
-    else delegate.parsePlan(sqlText)
+    if (t.toUpperCase.startsWith("COMPARE ")) CompareStatementParser.parse(t) else orElse(sqlText)
   }
 
-  override def parseQuery(sqlText: String): LogicalPlan = {
-    val t = sqlText.trim
-    if (t.toUpperCase.startsWith("COMPARE ")) CompareStatementParser.parse(t)
-    else delegate.parseQuery(sqlText)
-  }
+  override def parsePlan(sqlText: String): LogicalPlan = compareOr(sqlText)(delegate.parsePlan)
+  override def parseQuery(sqlText: String): LogicalPlan = compareOr(sqlText)(delegate.parseQuery)
 
   override def parseExpression(sqlText: String): Expression = delegate.parseExpression(sqlText)
   override def parseTableIdentifier(sqlText: String): TableIdentifier = delegate.parseTableIdentifier(sqlText)

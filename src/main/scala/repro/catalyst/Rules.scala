@@ -178,7 +178,6 @@ object ReduceToCompare extends Rule[LogicalPlan] {
   private def matchTrendAgg(plan: LogicalPlan): Option[TrendAgg] = stripProjects(plan) match {
     case Aggregate(groupExprs, aggExprs, src, _) if groupExprs.size == 2 && aggExprs.size == 3 =>
       val named = aggExprs.map(_.asInstanceOf[NamedExpression])
-      val attrsOut = named.map(_.toAttribute)
       val (keyExprs, valExprs) = named.partition(e => !containsAggExpr(e))
       if (keyExprs.size != 2 || valExprs.size != 1) return None
       val keys = keyExprs.map(e => strip(e) match {
@@ -189,13 +188,7 @@ object ReduceToCompare extends Rule[LogicalPlan] {
       val Seq((cOut, cName), (gOut, gName)) = keys.map(_.get)
       val (agg, mName) = strip(valExprs.head) match {
         case AggregateExpression(fn, _, false, _, _) =>
-          val kind = fn match {
-            case _: Average => AggKind.Avg
-            case _: Sum     => AggKind.Sum
-            case _: Min     => AggKind.Min
-            case _: Max     => AggKind.Max
-            case _          => return None
-          }
+          val kind = AggFunctions.kindOf(fn).getOrElse(return None)
           strip(fn.children.head) match {
             case m: AttributeReference => (kind, m.name)
             case _                     => return None
@@ -210,7 +203,7 @@ object ReduceToCompare extends Rule[LogicalPlan] {
     e.exists(_.isInstanceOf[AggregateExpression])
 
   override def apply(plan: LogicalPlan): LogicalPlan = plan.transformUp {
-    case outer @ Aggregate(groupExprs, aggExprs, joinPlan, _) if groupExprs.size == 2 =>
+    case outer @ Aggregate(groupExprs, _, joinPlan, _) if groupExprs.size == 2 =>
       (matchJoin(stripProjects(joinPlan)) match {
         case Some((left, right, gCond, cCond)) =>
           for {
@@ -273,13 +266,7 @@ object ReduceToCompare extends Rule[LogicalPlan] {
         case a: AttributeReference if a.exprId == ta1.cOut.exprId => Some(("c1", ne))
         case a: AttributeReference if a.exprId == ta2.cOut.exprId => Some(("c2", ne))
         case AggregateExpression(fn, _, false, _, _) =>
-          val kind = fn match {
-            case _: Sum     => AggKind.Sum
-            case _: Average => AggKind.Avg
-            case _: Min     => AggKind.Min
-            case _: Max     => AggKind.Max
-            case _          => return None
-          }
+          val kind = AggFunctions.kindOf(fn).getOrElse(return None)
           strip(fn.children.head) match {
             case Pow(absExpr, pLit) =>
               val p = strip(pLit) match {

@@ -21,7 +21,7 @@ private final case class GroupingSet(side: Int, grouping: String, members: Seq[I
   *
   * {{{
   *   Aggregate [grouping_id, c_1..c_n, g] [AGG(v_j) per distinct (g, m)]
-  *     (Filter keep)               -- two sides, not both free of fixed terms
+  *     (Filter keep)               -- two sides with different fixed terms
   *       Expand                    -- one row per grouping set (side, g)
   *         Project                 -- CAST(keys AS STRING), CAST(measures AS DOUBLE)
   *           (Filter fixed terms)  -- when every side has fixed terms
@@ -69,21 +69,23 @@ private[repro] final class TrendAggregation(spec: CompareSpec,
         s"COMPARE column '$name' not found in ${child.output.map(_.name)}"))
     def as(e: Expression, dt: DataType): Expression = if (e.dataType == dt) e else Cast(e, dt, tz)
 
+    // One predicate per distinct condition: sides with the same fixed terms share it.
     val conds: Seq[Option[Expression]] = templates.map(_.collect {
       case ConstraintTerm(a, Some(v)) => EqualTo(as(attr(a), StringType), Literal(v)): Expression
     }.reduceOption(And))
-    val scan = if (conds.forall(_.isDefined)) Filter(conds.flatten.reduce(Or), child) else child
+    val distinctConds = conds.distinct
+    val scan = if (conds.forall(_.isDefined)) Filter(distinctConds.flatten.reduce(Or), child) else child
     // Two sides that differ in fixed terms: each grouping set keeps only the
     // rows of its own side.
-    val needKeep = templates.size > 1 && conds.exists(_.isDefined)
+    val needKeep = distinctConds.size > 1
 
     val keyNames = (templates.flatMap(_.filter(_.isFree).map(_.attr)) ++ sets.map(_.grouping))
       .distinctBy(_.toLowerCase)
     val keys = keyNames.map(n => n.toLowerCase -> Alias(as(attr(n), StringType), n)()).to(VectorMap)
     val measures = gms.map(_.measure).distinctBy(_.toLowerCase)
       .map(n => n.toLowerCase -> Alias(as(attr(n), DoubleType), n)()).to(VectorMap)
-    val ins = conds.zipWithIndex.collect { case (Some(c), s) if needKeep => s -> Alias(c, s"in$s")() }
-      .to(VectorMap)
+    val ins = distinctConds.zipWithIndex
+      .collect { case (Some(c), i) if needKeep => c -> Alias(c, s"in$i")() }.to(VectorMap)
     val project = Project((keys.values ++ measures.values ++ ins.values).toSeq, scan)
 
     val gid = AttributeReference("grouping_id", IntegerType, nullable = false)()
@@ -98,19 +100,13 @@ private[repro] final class TrendAggregation(spec: CompareSpec,
         gms.indices.map(j =>
           if (set.members.contains(j)) measures(gms(j).measure.toLowerCase).toAttribute
           else Literal(null, DoubleType)) ++
-        keep.map(_ => ins.get(set.side).map(_.toAttribute).getOrElse(Literal(true)))
+        keep.map(_ => conds(set.side).fold[Expression](Literal(true))(ins(_).toAttribute))
     }
     val groupBy = gid +: cSlots :+ gSlot
     val expand = Expand(projections, groupBy ++ vSlots ++ keep, project)
     val input = keep.fold[LogicalPlan](expand)(Filter(_, expand))
     val aggs = gms.zip(vSlots).zipWithIndex.map { case ((gm, v), j) =>
-      val fn: AggregateFunction = gm.agg match {
-        case AggKind.Sum => Sum(v)
-        case AggKind.Avg => Average(v)
-        case AggKind.Min => Min(v)
-        case AggKind.Max => Max(v)
-      }
-      Alias(fn.toAggregateExpression(), s"agg${j + 1}")()
+      Alias(AggFunctions.of(gm.agg, v).toAggregateExpression(), s"agg${j + 1}")()
     }
     Aggregate(groupBy, groupBy ++ aggs, input, None)
   }
@@ -175,8 +171,28 @@ private[repro] final class TrendAggregation(spec: CompareSpec,
   * the UDF baseline, whose driver-side copy of the trends is what it models.
   */
 object TrendCollector {
-  def collect(df: DataFrame, spec: CompareSpec): (Seq[TrendRow], Seq[TrendRow]) = {
-    val agg = new TrendAggregation(spec)
-    agg.trends(ReproBridge.executeCollect(agg.over(df)))
+  def collect(df: DataFrame, spec: CompareSpec): (Seq[TrendRow], Seq[TrendRow]) =
+    if (spec.comparableGmPairs.isEmpty) (Nil, Nil) // no trend to build, as in CompareStrategy
+    else {
+      val agg = new TrendAggregation(spec)
+      agg.trends(ReproBridge.executeCollect(agg.over(df)))
+    }
+}
+
+/** [[AggKind]] ↔ Catalyst aggregate function, one function per direction. */
+private[catalyst] object AggFunctions {
+  def of(kind: AggKind, child: Expression): AggregateFunction = kind match {
+    case AggKind.Sum => Sum(child)
+    case AggKind.Avg => Average(child)
+    case AggKind.Min => Min(child)
+    case AggKind.Max => Max(child)
+  }
+
+  def kindOf(fn: AggregateFunction): Option[AggKind] = fn match {
+    case _: Sum     => Some(AggKind.Sum)
+    case _: Average => Some(AggKind.Avg)
+    case _: Min     => Some(AggKind.Min)
+    case _: Max     => Some(AggKind.Max)
+    case _          => None
   }
 }

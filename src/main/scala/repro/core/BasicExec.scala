@@ -56,11 +56,12 @@ object BasicExec {
     val perGm = spec.comparableGmPairs.map { case (i, j) =>
       val gm1 = spec.t1.gms(i); val gm2 = spec.t2.gms(j)
       val left = rel1(i); val right = rel2(j)
-      val joined = left.join(right, Relations.pairCondition(spec, left, right))
+      val joined = left.join(right, left("__g1") === right("__g2") && PairRule.column(spec, left, right))
       val cCols = (CompareOutput.c1Cols(spec) ++ CompareOutput.c2Cols(spec)).map(col)
+      val diff = pow(abs(col("__v1") - col("__v2")), spec.scorer.p)
       joined
         .groupBy(cCols: _*)
-        .agg(Relations.scoreAgg(spec.scorer, col("__v1") - col("__v2")).as("score"))
+        .agg(call_function(spec.scorer.agg.sql, diff).as("score"))
         .withColumn("grouping", lit(gm1.grouping))
         .withColumn("measure_1", lit(gm1.measureLabel))
         .withColumn("measure_2", lit(gm2.measureLabel))

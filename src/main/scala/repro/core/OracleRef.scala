@@ -38,14 +38,13 @@ object OracleRef {
       val a = s"(${trendRelSql(table, spec.t1, gm1, 1)}) a"
       val b = s"(${trendRelSql(table, spec.t2, gm2, 2)}) b"
 
-      val c1 = spec.t1.constraint.map {
-        case ConstraintTerm(attr, None)    => s"a.${q(s"${attr}_1")} AS ${q(s"${attr}_1")}"
-        case ConstraintTerm(attr, Some(v)) => s"${lit(v)} AS ${q(s"${attr}_1")}"
-      }
-      val c2 = spec.t2.constraint.map {
-        case ConstraintTerm(attr, None)    => s"b.${q(s"${attr}_2")} AS ${q(s"${attr}_2")}"
-        case ConstraintTerm(attr, Some(v)) => s"${lit(v)} AS ${q(s"${attr}_2")}"
-      }
+      // Side `side`'s value of constraint term `t`: its column, or its constant.
+      def cVal(t: ConstraintTerm, side: Int): String =
+        t.value.fold(s"${if (side == 1) "a" else "b"}.${q(s"${t.attr}_$side")}")(lit)
+      val v1 = spec.t1.constraint.map(cVal(_, 1))
+      val v2 = spec.t2.constraint.map(cVal(_, 2))
+      val c1 = v1.zip(spec.t1.attrs).map { case (v, attr) => s"$v AS ${q(s"${attr}_1")}" }
+      val c2 = v2.zip(spec.t2.attrs).map { case (v, attr) => s"$v AS ${q(s"${attr}_2")}" }
       val labels = Seq(
         s"${lit(gm1.grouping)} AS ${q("grouping")}",
         s"${lit(gm1.measureLabel)} AS ${q("measure_1")}",
@@ -53,19 +52,14 @@ object OracleRef {
       val score =
         s"${aggSql(spec.scorer.agg, s"POWER(ABS(a.v - b.v), ${spec.scorer.p})")} AS ${q("score")}"
 
+      // The pair rule of [[PairRule]]. A DuckDB row comparison orders NULLs
+      // instead of returning unknown, hence the IS NOT NULL guards.
       val pairCond = spec.pairMode match {
         case PairMode.SymmetricConstraint =>
-          val l = spec.t1.attrs.map(x => s"a.${q(s"${x}_1")}").mkString(" || ")
-          val r = spec.t2.attrs.map(x => s"b.${q(s"${x}_2")}").mkString(" || ")
-          s" AND ($l) < ($r)"
+          (v1 ++ v2).map(v => s" AND $v IS NOT NULL").mkString +
+            s" AND (${v1.mkString(", ")}) < (${v2.mkString(", ")})"
         case PairMode.CrossConstraint if spec.excludeIdenticalConstraint =>
-          val sameSides = spec.t1.constraint.zip(spec.t2.constraint).map {
-            case (ConstraintTerm(a1, v1), ConstraintTerm(a2, v2)) =>
-              val l = v1.fold(s"a.${q(s"${a1}_1")}")(lit)
-              val r = v2.fold(s"b.${q(s"${a2}_2")}")(lit)
-              s"$l = $r"
-          }
-          s" AND NOT (${sameSides.mkString(" AND ")})"
+          s" AND NOT (${v1.lazyZip(v2).map((l, r) => s"$l = $r").mkString(" AND ")})"
         case _ => ""
       }
 

@@ -71,36 +71,27 @@ object PrunedTopK {
     val trendCount = (side1.size + side2.size).toLong
     val summaryDoubles = (side1 ++ side2).map(_.segs.length.toLong * 4).sum
 
-    // --- Enumerate candidate pairs (pair-mode conditions on c values, in
-    // SQL's three-valued logic as in Relations.pairCondition) ---
+    // --- Enumerate candidate pairs ---
     val by1 = side1.groupBy(_.gm)
     val by2 = side2.groupBy(_.gm)
     val candidates = mutable.ArrayBuffer.empty[(SegTrend, SegTrend)]
     spec.comparableGmPairs.foreach { case (i, j) =>
-      for (t1 <- by1.getOrElse(i, Nil); t2 <- by2.getOrElse(j, Nil)) {
-        val keep = spec.pairMode match {
-          case PairMode.SymmetricConstraint =>
-            !t1.c.contains(null) && !t2.c.contains(null) && t1.key.compareTo(t2.key) < 0
-          case PairMode.CrossConstraint if spec.excludeIdenticalConstraint =>
-            t1.c.lazyZip(t2.c).exists((a, b) => a != null && b != null && a != b)
-          case _ => true
-        }
-        if (keep) candidates += ((t1, t2))
-      }
+      for (t1 <- by1.getOrElse(i, Nil); t2 <- by2.getOrElse(j, Nil) if PairRule.keeps(spec, t1, t2))
+        candidates += ((t1, t2))
     }
 
     var tuplesCompared = 0L
     var segmentsProcessed = 0L
 
-    /** The k best by score, ties broken by the two constraint keys in
-      * UTF-8 byte order (as Spark and DuckDB order strings), then the (g, m)s.
+    /** The k best by score, ties broken by the two constraint tuples in
+      * [[PairRule.compare]]'s order, then the (g, m)s.
       */
     def sortSelect(all: Seq[(SegTrend, SegTrend, Double)]): Seq[ScoredPair] = {
       def rankScore(s: Double): Double = if (topK.ascending) s else -s
       val rank: Ordering[(SegTrend, SegTrend, Double)] = (a, b) => {
         var c = java.lang.Double.compare(rankScore(a._3), rankScore(b._3))
-        if (c == 0) c = a._1.key.compareTo(b._1.key)
-        if (c == 0) c = a._2.key.compareTo(b._2.key)
+        if (c == 0) c = PairRule.compare(a._1.key, b._1.key)
+        if (c == 0) c = PairRule.compare(a._2.key, b._2.key)
         if (c == 0) c = Integer.compare(a._1.gm, b._1.gm)
         if (c == 0) c = Integer.compare(a._2.gm, b._2.gm)
         c

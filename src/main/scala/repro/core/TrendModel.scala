@@ -67,10 +67,8 @@ object TrendModel {
     val n: Int = codes.length
     /** Dense = one tuple for every dictionary value (the common OLAP case). */
     val dense: Boolean = n == seg.domain
-    /** The constraint values joined as [[Relations.pairCondition]] joins them,
-      * ordered by UTF-8 bytes as Spark and DuckDB order strings.
-      */
-    lazy val key: UTF8String = UTF8String.fromString(c.mkString(Relations.KeySep))
+    /** The constraint values as [[PairRule.compare]] orders them. */
+    lazy val key: Array[UTF8String] = c.iterator.map(UTF8String.fromString).toArray
   }
 
   def buildTrend(row: TrendRow, dict: GroupingDict, seg: Segmentation): SegTrend = {

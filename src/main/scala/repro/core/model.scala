@@ -18,12 +18,9 @@ object AggKind {
 
   val all: Seq[AggKind] = Seq(Sum, Avg, Min, Max)
 
-  def parse(s: String): AggKind = s.trim.toUpperCase match {
-    case "SUM" => Sum
-    case "AVG" => Avg
-    case "MIN" => Min
-    case "MAX" => Max
-    case other => throw new IllegalArgumentException(s"unknown aggregate: $other")
+  def parse(s: String): AggKind = {
+    val name = s.trim.toUpperCase
+    all.find(_.sql == name).getOrElse(throw new IllegalArgumentException(s"unknown aggregate: $name"))
   }
 }
 

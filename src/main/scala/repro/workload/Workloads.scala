@@ -1,6 +1,5 @@
 package repro.workload
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core._
 import repro.flight.FlightData
 import repro.tpcds.WebSalesData
@@ -80,16 +79,4 @@ object Workloads {
     scorer), DefaultK)
 
   def tpcdsQueries: Seq[Query] = Seq(tpcdsQ1, tpcdsQ2, tpcdsQ3, tpcdsQ4)
-
-  // ----------------------------------------------------------------- data
-
-  /** Bench-scale Flight data (defaults sized for minutes-long runs). */
-  def flightBenchData(spark: SparkSession, nAirports: Int = 96, nDays: Int = 366,
-                      rowsPerCell: Int = 4): DataFrame =
-    FlightData.flights(spark, nAirports, nDays, rowsPerCell)
-
-  /** Bench-scale websales fact table. */
-  def tpcdsBenchData(spark: SparkSession, rows: Long = 1500000L, nWebPages: Int = 128,
-                     nItems: Int = 200, nDays: Int = 120): DataFrame =
-    WebSalesData.webSales(spark, rows, nWebPages, nItems, nDays)
 }

@@ -1,13 +1,14 @@
 package repro.catalyst
 
 import org.apache.spark.sql.{DataFrame, ReproBridge, Row}
-import org.apache.spark.sql.execution.ExpandExec
+import org.apache.spark.sql.catalyst.expressions.EqualTo
+import org.apache.spark.sql.execution.{ExpandExec, FilterExec}
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
 import org.apache.spark.sql.execution.aggregate.HashAggregateExec
 import org.apache.spark.sql.execution.columnar.InMemoryTableScanExec
 import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.types._
-import repro.baselines.UdfBaseline
+import repro.baselines.{MiddlewareBaseline, UdfBaseline}
 import repro.core._
 import repro.{SparkSpec, TestData, TestUtil}
 
@@ -227,6 +228,9 @@ class CompareExecSpec extends SparkSpec {
     assert(basic.count() == 0)
     TestUtil.assertSameResult(CompareSession.compare(df, spec, None), basic)
     TestUtil.assertSameResult(CompareSession.compare(df, spec, Some(TopK(2, ascending = true))), basic)
+    TestUtil.assertSameResult(udfTopK(df, spec, TopK(2, ascending = true)), basic)
+    val viaMiddleware = MiddlewareBaseline.topK(df, spec, TopK(2, ascending = true), bandwidthMBps = 1e6)
+    assert(viaMiddleware.pairs.isEmpty && viaMiddleware.transferredBytes == 0)
   }
 
   test("edge: symmetric pairs are oriented in UTF-8 byte order") {
@@ -237,6 +241,31 @@ class CompareExecSpec extends SparkSpec {
       week <- 1 to 4
     } yield Row(city, "P0", week, (ci + 1) * week + 0.37 * ci * ci + 0.011 * week * week)
     checkEdge(edgeDf(rows), symCity(), 3)
+  }
+
+  test("edge: multi-attribute symmetric keys are ordered tuple-wise") {
+    // Joined without a separator ("a","bc") and ("ab","c") are equal; joined
+    // with U+0001, ("a\u0001","z") sorts before ("a","b").
+    val keys = Seq("a" -> "bc", "ab" -> "c", "x" -> "y", "a\u0001" -> "z", "a" -> "b")
+    val rows = for {
+      ((city, product), ci) <- keys.zipWithIndex
+      week <- 1 to 4
+    } yield Row(city, product, week, (ci + 1) * week + 0.37 * ci * ci + 0.011 * week * week)
+    val ts = TrendsetSpec(Seq(ConstraintTerm("city", None), ConstraintTerm("product", None)), Seq(weekSum))
+    val spec = CompareSpec(ts, ts, Specs.scorer())
+    checkEdge(edgeDf(rows), spec, 5 * 4 / 2)
+    val pair = CompareSession.compare(edgeDf(rows), spec, None)
+      .filter(col("product_1").isin("b", "z") && col("product_2").isin("b", "z"))
+      .select("city_1", "product_1", "city_2", "product_2").collect().toSeq
+    assert(pair == Seq(Row("a", "b", "a\u0001", "z")))
+  }
+
+  test("sides with the same fixed terms share one predicate and need no keep filter") {
+    val df = CompareSession.compare(sales, Specs.ex1a(), None)
+    df.collect()
+    val exec = CompareTopKExec.in(df).get
+    val conds = Plans.collect(exec.child) { case f: FilterExec => f.condition }
+    assert(conds.size == 1 && conds.head.collect { case e: EqualTo => e }.size == 1, exec.treeString)
   }
 
   test("edge: a fixed and a free side share one scan") {

@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.catalyst.CompareSession
-import repro.{SparkSpec, TestData, TestUtil}
+import repro.{SparkSpec, TestData}
 
 /** §3.2: COMPARE composed with ORDER BY / LIMIT / join-back to select the
   * tuples of the top-k trends.
