@@ -13,7 +13,7 @@ import repro.bench.Experiments
   * on (see EXPERIMENTS.md).
   */
 object JobSession {
-  def get(name: String): SparkSession = SparkSession.builder
+  def get(name: String): SparkSession = SparkSession.builder()
     .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
     .appName(name)
     .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))

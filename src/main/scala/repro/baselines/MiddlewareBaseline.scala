@@ -1,8 +1,7 @@
 package repro.baselines
 
-import java.nio.charset.StandardCharsets
-
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, ReproBridge}
+import repro.catalyst.TrendAggregation
 import repro.core._
 
 /** Middleware execution model simulation (§8's MIDDLEWARE baseline —
@@ -15,8 +14,10 @@ import repro.core._
   * locally — with trendwise processing and segment-aggregate pruning, as the
   * paper grants this baseline.
   *
-  * The network is simulated by CSV-serializing the rows and pacing the
-  * transfer at `bandwidthMBps` (sleeping the residual time). Bandwidth is a
+  * Each query is the operator's trend aggregate over one (g, m) of one
+  * constraint template. The network is simulated by Java-serializing its rows
+  * and pacing the transfer at `bandwidthMBps` (sleeping the residual time);
+  * the client assembles trends from the rows it received. Bandwidth is a
   * parameter; benches document the value used.
   */
 object MiddlewareBaseline {
@@ -26,43 +27,20 @@ object MiddlewareBaseline {
 
   def topK(df: DataFrame, spec: CompareSpec, k: TopK,
            bandwidthMBps: Double = 50.0): Result = {
-    // One aggregate query per (g, m) per side — issued separately, like a
+    // One aggregate query per (g, m) and template — issued separately, like a
     // visualization tool fetching each chart's data.
-    def fetchSide(ts: TrendsetSpec, side: Int, gmIdxs: Seq[Int]): (Seq[TrendRow], Long) = {
-      var bytes = 0L
-      val rows = gmIdxs.flatMap { i =>
-        val rel = Relations.trendRel(df, ts, ts.gms(i), side)
-        val collected = rel.collect() // the per-query result set
-        val csv = collected.map(_.toSeq.mkString(",")).mkString("\n")
-        val payload = csv.getBytes(StandardCharsets.UTF_8)
-        bytes += payload.length
-        // Client-side deserialization: parse the CSV back into trends.
-        val header = rel.columns
-        val gIdx = header.indexOf(s"__g$side"); val vIdx = header.indexOf(s"__v$side")
-        val cIdxs = ts.attrs.map(a => header.indexOf(s"${a}_$side"))
-        val parsed = new String(payload, StandardCharsets.UTF_8)
-          .split("\n").filter(_.nonEmpty)
-          .map(_.split(",", -1))
-        parsed
-          .filter(f => f(gIdx) != "null" && f(vIdx) != "null")
-          .groupBy(f => cIdxs.map(f(_)).toList)
-          .map { case (c, fs) =>
-            TrendRow(i, c, fs.map(f => f(gIdx) -> f(vIdx).toDouble).toMap)
-          }
-      }
-      (rows, bytes)
+    val fetched = TrendAggregation.members(spec).map { member =>
+      val agg = new TrendAggregation(spec, Seq(member))
+      val (rows, bytes) = UdfBaseline.roundTrip(ReproBridge.executeCollect(agg.over(df)))
+      val (t1, t2) = agg.trends(rows)
+      (t1, t2, bytes)
     }
-
-    val gms1 = spec.comparableGmPairs.map(_._1).distinct
-    val gms2 = spec.comparableGmPairs.map(_._2).distinct
-    val (t1, b1) = fetchSide(spec.t1, 1, gms1)
-    val (t2, b2) = fetchSide(spec.t2, 2, gms2)
-    val totalBytes = b1 + b2
+    val totalBytes = fetched.map(_._3).sum
     val transferSeconds = totalBytes / (bandwidthMBps * 1e6)
     // Pace the simulated link (capped so accidental large payloads cannot
     // stall a bench run indefinitely).
     Thread.sleep(math.min(transferSeconds * 1000, 120000L).toLong)
-    val res = PrunedTopK.run(spec, t1, t2, k)
+    val res = PrunedTopK.run(spec, fetched.flatMap(_._1), fetched.flatMap(_._2), k)
     Result(res.pairs, res.stats, totalBytes, transferSeconds)
   }
 }

@@ -29,20 +29,22 @@ object UdfBaseline {
     val (t1, t2) = TrendCollector.collect(df, spec)
     // Marshal the whole aggregate input through serialization, as a UDF
     // invocation would.
-    val (t1m, b1) = roundTrip(t1)
-    val (t2m, b2) = roundTrip(t2)
+    val (t1m, b1) = roundTrip(t1.toList)
+    val (t2m, b2) = roundTrip(t2.toList)
     val res = PrunedTopK.run(spec, t1m, t2m, k)
     Result(res.pairs, res.stats, b1 + b2)
   }
 
-  private def roundTrip(rows: Seq[TrendRow]): (Seq[TrendRow], Long) = {
+  /** `a` after Java serialization and back, and the serialized size: the
+    * cost of marshalling it into a UDF (or, for MIDDLEWARE, onto the wire).
+    */
+  private[baselines] def roundTrip[A <: AnyRef](a: A): (A, Long) = {
     val bos = new ByteArrayOutputStream()
     val oos = new ObjectOutputStream(bos)
-    oos.writeObject(rows.toList)
+    oos.writeObject(a)
     oos.close()
     val bytes = bos.toByteArray
     val ois = new ObjectInputStream(new ByteArrayInputStream(bytes))
-    val back = ois.readObject().asInstanceOf[List[TrendRow]]
-    (back, bytes.length.toLong)
+    (ois.readObject().asInstanceOf[A], bytes.length.toLong)
   }
 }

@@ -42,9 +42,7 @@ private final case class GroupingSet(side: Int, grouping: String, members: Seq[I
 private[repro] final class TrendAggregation(spec: CompareSpec,
                                             members: Seq[(TrendsetSpec, GroupingMeasure)]) {
 
-  def this(spec: CompareSpec) = this(spec,
-    spec.comparableGmPairs.map(_._1).distinct.map(i => spec.t1 -> spec.t1.gms(i)) ++
-      spec.comparableGmPairs.map(_._2).distinct.map(j => spec.t2 -> spec.t2.gms(j)))
+  def this(spec: CompareSpec) = this(spec, TrendAggregation.members(spec))
 
   private val used1 = spec.comparableGmPairs.map(_._1).distinct
   private val used2 = spec.comparableGmPairs.map(_._2).distinct
@@ -147,9 +145,9 @@ private[repro] final class TrendAggregation(spec: CompareSpec,
     ReproBridge.ofRows(df.sparkSession, plan(ReproBridge.analyzedPlan(df)))
 
   /** The trend relation of member (`ts`, `gm`) read out of `agg`, the output
-    * of [[over]]: the columns of [[repro.core.Relations.trendRel]] for side
-    * `side` (`<attr>_<side>` with fixed terms as literals, `__g<side>`,
-    * `__v<side>`).
+    * of [[over]]: the columns of the basic plan's per-(g, m) group-by
+    * ([[repro.core.BasicExec]]) for side `side` (`<attr>_<side>` with fixed
+    * terms as literals, `__g<side>`, `__v<side>`).
     */
   def trendRel(agg: DataFrame, ts: TrendsetSpec, gm: GroupingMeasure, side: Int): DataFrame = {
     val j = gms.indexOf(gm)
@@ -165,6 +163,16 @@ private[repro] final class TrendAggregation(spec: CompareSpec,
     agg.filter(col("grouping_id") === set)
       .select(cs :+ col("g").as(s"__g$side") :+ col(s"agg${j + 1}").as(s"__v$side"): _*)
   }
+}
+
+private[repro] object TrendAggregation {
+  /** The spec's comparable (trendset, (g, m))s, one per constraint template
+    * and (g, m): the two sides of a symmetric spec share theirs.
+    */
+  def members(spec: CompareSpec): Seq[(TrendsetSpec, GroupingMeasure)] =
+    (spec.comparableGmPairs.map(_._1).distinct.map(i => spec.t1 -> spec.t1.gms(i)) ++
+      spec.comparableGmPairs.map(_._2).distinct.map(j => spec.t2 -> spec.t2.gms(j)))
+      .distinctBy { case (ts, gm) => (ts.constraint, gm) }
 }
 
 /** [[CompareTopKExec]]'s trend aggregate run through the Dataset API, for

@@ -20,8 +20,24 @@ object BasicExec {
   /** Full pair scoring in the core output schema of [[CompareOutput]]. */
   def run(df: DataFrame, spec: CompareSpec): DataFrame =
     scorePairs(df, spec,
-      i => Relations.trendRel(df, spec.t1, spec.t1.gms(i), side = 1),
-      j => Relations.trendRel(df, spec.t2, spec.t2.gms(j), side = 2))
+      i => trendRel(df, spec.t1, spec.t1.gms(i), side = 1),
+      j => trendRel(df, spec.t2, spec.t2.gms(j), side = 2))
+
+  /** Step 1: the group-by aggregate of side `side`'s trend relation for one
+    * (g, m), one row per (trend, grouping value). Output columns:
+    * `<attr>_<side>` for every constraint attribute (fixed attributes surface
+    * their constant, as `R1 = 'Asia'` in Table 1), `__g<side>` (grouping
+    * value) and `__v<side>` (aggregated measure). Keys are canonicalized to
+    * strings so joins and oracle comparisons are type-stable.
+    */
+  private def trendRel(df: DataFrame, ts: TrendsetSpec, gm: GroupingMeasure, side: Int): DataFrame = {
+    val base = ts.fixedTerms.foldLeft(df) { case (d, (a, v)) => d.filter(col(a).cast("string") === lit(v)) }
+    val keys = ts.freeAttrs.map(a => col(a).cast("string").as(s"${a}_$side")) :+
+      col(gm.grouping).cast("string").as(s"__g$side")
+    val grouped = base.groupBy(keys: _*)
+      .agg(call_function(gm.agg.sql, col(gm.measure).cast("double")).as(s"__v$side"))
+    ts.fixedTerms.foldLeft(grouped) { case (d, (a, v)) => d.withColumn(s"${a}_$side", lit(v)) }
+  }
 
   /** The same plan over shared (merged) aggregates, still with
     * trendset-granularity joins — isolates the merging optimization for the
@@ -49,7 +65,7 @@ object BasicExec {
   }
 
   /** Steps 2–4 over each side's per-(g, m) trend relations (columns as in
-    * [[Relations.trendRel]]).
+    * [[trendRel]]).
     */
   private def scorePairs(df: DataFrame, spec: CompareSpec,
                          rel1: Int => DataFrame, rel2: Int => DataFrame): DataFrame = {

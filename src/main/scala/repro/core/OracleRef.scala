@@ -5,9 +5,10 @@ package repro.core
   *
   * Used by tests as the correctness reference via [[repro.Oracle]]: the
   * oracle's tables are all-VARCHAR, so measures are cast to DOUBLE and
-  * groupings compared as strings — matching the string canonicalization in
-  * [[Relations]]. Scores are compared with a relative tolerance on the test
-  * side (engines sum doubles in different orders).
+  * groupings compared as strings — matching the string canonicalization of
+  * the basic plan's trend relations ([[BasicExec]]). Scores are compared with
+  * a relative tolerance on the test side (engines sum doubles in different
+  * orders).
   */
 object OracleRef {
 

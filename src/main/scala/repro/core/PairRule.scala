@@ -24,7 +24,7 @@ import TrendModel.SegTrend
   */
 object PairRule {
 
-  /** The rule over two trend relations (columns as in [[Relations.trendRel]]). */
+  /** The rule over two trend relations (columns as in [[BasicExec]]'s `trendRel`). */
   def column(spec: CompareSpec, left: DataFrame, right: DataFrame): Column = {
     val l = spec.t1.attrs.map(a => left(s"${a}_1"))
     val r = spec.t2.attrs.map(a => right(s"${a}_2"))

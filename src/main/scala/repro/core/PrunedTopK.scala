@@ -109,8 +109,9 @@ object PrunedTopK {
         tuplesCompared += touched
         s.map((t1, t2, _))
       }
+      // Only pairs sharing a grouping value are scored, as the pruning branches count.
       return Result(sortSelect(scored.toSeq),
-        PruneStats(candidates.size, 0, 0, 0, tuplesCompared, trendCount, summaryDoubles))
+        PruneStats(scored.size, 0, 0, 0, tuplesCompared, trendCount, summaryDoubles))
     }
 
     // --- Bound: per-pair segment bounds; rank space maximizes "bestness" ---

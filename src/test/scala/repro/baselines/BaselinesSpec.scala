@@ -29,9 +29,9 @@ class BaselinesSpec extends SparkSpec {
     }
   }
 
-  for ((name, spec) <- shapes) {
-    val k = TopK(3, ascending = true)
-    test(s"MIDDLEWARE baseline top-k == COMPARE top-k: $name") {
+  for ((name, spec) <- shapes; asc <- Seq(true, false)) {
+    val k = TopK(3, asc)
+    test(s"MIDDLEWARE baseline top-k == COMPARE top-k: $name${if (asc) "" else " DESC"}") {
       val cmp = CompareSession.compare(sales, spec, Some(k))
       val cmpScores = cmp.collect().map(_.getAs[Double]("score"))
         .map(s => math.rint(s * 1e4) / 1e4).sorted.toSeq

@@ -131,6 +131,10 @@ class CompareExecSpec extends SparkSpec {
   private def udfTopK(df: DataFrame, spec: CompareSpec, k: TopK): DataFrame =
     CompareOutput.toDf(spark, spec, UdfBaseline.topK(df, spec, k).pairs)
 
+  /** The MIDDLEWARE baseline's client-side Φp over its per-(g, m) queries. */
+  private def middlewareTopK(df: DataFrame, spec: CompareSpec, k: TopK): DataFrame =
+    CompareOutput.toDf(spark, spec, MiddlewareBaseline.topK(df, spec, k, bandwidthMBps = 1e6).pairs)
+
   // ---- edge cases of the trend builder: NULLs, empty input, DECIMAL keys,
   // two sides over one scan
 
@@ -159,10 +163,11 @@ class CompareExecSpec extends SparkSpec {
     TrendsetSpec(Seq(ConstraintTerm("city", Some("B"))), Seq(weekSum)),
     Specs.scorer())
 
-  /** Both users of the trend builder — the operator (all pairs and top-k)
-    * and the UDF baseline's driver-side `TrendCollector` → Φp (every pair
-    * and top-k) — and the merged-aggregate stage against the basic plan,
-    * which is itself checked against the DuckDB oracle.
+  /** Every user of the trend builder — the operator (all pairs and top-k),
+    * the UDF baseline's driver-side `TrendCollector` → Φp and the MIDDLEWARE
+    * baseline's per-(g, m) queries → Φp (every pair and top-k each) — and the
+    * merged-aggregate stage against the basic plan, which is itself checked
+    * against the DuckDB oracle.
     */
   private def checkEdge(df: DataFrame, spec: CompareSpec, expectedRows: Long): Unit = {
     val basic = BasicExec.run(df, spec)
@@ -174,11 +179,13 @@ class CompareExecSpec extends SparkSpec {
     TestUtil.assertSameResult(all, basic)
     TestUtil.checkOracle(all, spec, "t", df)
     TestUtil.assertSameResult(udfTopK(df, spec, TopK(Int.MaxValue, ascending = true)), basic)
+    TestUtil.assertSameResult(middlewareTopK(df, spec, TopK(Int.MaxValue, ascending = true)), basic)
 
     val k = TopK(2, ascending = true)
     val expect = basic.orderBy("score").limit(k.k)
     TestUtil.assertSameResult(CompareSession.compare(df, spec, Some(k)), expect)
     TestUtil.assertSameResult(udfTopK(df, spec, k), expect)
+    TestUtil.assertSameResult(middlewareTopK(df, spec, k), expect)
   }
 
   test("edge: a NULL grouping value belongs to no trend") {
@@ -243,6 +250,14 @@ class CompareExecSpec extends SparkSpec {
     checkEdge(edgeDf(rows), symCity(), 3)
   }
 
+  test("edge: constraint values holding separators survive every path") {
+    val rows = for {
+      (city, ci) <- Seq("a,b", "x\ny", "q\"r", "null", "A").zipWithIndex
+      week <- 1 to 4
+    } yield Row(city, "P0", week, (ci + 1) * week + 0.37 * ci * ci + 0.011 * week * week)
+    checkEdge(edgeDf(rows), symCity(), 5 * 4 / 2)
+  }
+
   test("edge: multi-attribute symmetric keys are ordered tuple-wise") {
     // Joined without a separator ("a","bc") and ("ab","c") are equal; joined
     // with U+0001, ("a\u0001","z") sorts before ("a","b").
@@ -277,7 +292,7 @@ class CompareExecSpec extends SparkSpec {
   }
 
   test("operator resolves columns case-insensitively") {
-    val upper = sales.toDF(sales.columns.map(_.toUpperCase): _*)
+    val upper = sales.toDF(sales.columns.map(_.toUpperCase).toIndexedSeq: _*)
     val df = CompareSession.compare(upper, Specs.symCities(), None)
     assert(df.count() == 8 * 7 / 2)
   }

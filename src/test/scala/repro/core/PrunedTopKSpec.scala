@@ -86,6 +86,25 @@ class PrunedTopKSpec extends SparkSpec {
     assert(res.stats.pairsPruned > 0, s"stats=${res.stats}")
   }
 
+  test("every config counts only the pairs that share a grouping value") {
+    // A and B share weeks 1–2; C has only weeks 3–4, so one pair is scored.
+    val t = Seq(
+      TrendRow(0, Seq("A"), Map("1" -> 1.0, "2" -> 2.0)),
+      TrendRow(0, Seq("B"), Map("1" -> 3.0, "2" -> 5.0)),
+      TrendRow(0, Seq("C"), Map("3" -> 1.0, "4" -> 2.0)))
+    val k = TopK(Int.MaxValue, ascending = true)
+    val runs = Seq(
+      "default" -> PrunedTopK.run(Specs.symCities(), t, t, k),
+      "no early termination" -> PrunedTopK.run(Specs.symCities(), t, t, k,
+        PrunedTopK.Config(useEarlyTermination = false)),
+      "no pruning" -> PrunedTopK.run(Specs.symCities(), t, t, k, PrunedTopK.Config(usePruning = false)),
+      "MAX scorer" -> PrunedTopK.run(Specs.symCities(Scorer(AggKind.Max, 2)), t, t, k))
+    for ((name, res) <- runs) {
+      assert(res.pairs.size == 1, name)
+      assert(res.stats.pairsTotal == 1, name)
+    }
+  }
+
   test("early termination processes fewer tuples than exhaustive comparison") {
     val topK = TopK(1, ascending = false)
     val et = pruned(Specs.symCities(), topK)
