@@ -5,19 +5,17 @@ import org.apache.spark.sql.{DataFrame, Row}
 
 /** DuckDB correctness oracle.
   *
-  * ``assertEquivalent(sparkDf, sql, tables)`` runs ``sql`` on DuckDB
-  * (via JDBC, in-process) over ``tables`` and asserts the sorted rows
-  * match ``sparkDf``. This catches wrong results from a rewritten plan
-  * or a custom operator — "it ran" is not "it is correct".
+  * ``assertEquivalentTolerant(sparkDf, sql, tolerantCols, relTol, tables)``
+  * runs ``sql`` on DuckDB (via JDBC, in-process) over ``tables`` and asserts
+  * its rows match ``sparkDf``. This catches wrong results from a rewritten
+  * plan or a custom operator — "it ran" is not "it is correct". The columns
+  * in ``tolerantCols`` are floating-point aggregates compared with a relative
+  * tolerance, keyed by the remaining exact columns: the two engines sum
+  * doubles in different orders.
   *
   * Alias every output column identically on both sides (Spark names
   * ``count(*)`` as ``count(1)``, DuckDB as ``count_star()``). Project
   * to scalar columns — array/map/struct are not comparable here.
-  *
-  * ``assertEquivalentTolerant`` additionally treats the named columns as
-  * floating-point aggregates compared with a relative tolerance (keyed by the
-  * remaining exact columns) — needed because the two engines sum doubles in
-  * different orders, so fixed-precision rounding can straddle a boundary.
   */
 object Oracle {
 
@@ -27,12 +25,6 @@ object Oracle {
     case f: Float                     => f"${f.toDouble}%.6f"
     case bd: java.math.BigDecimal     => f"${bd.doubleValue}%.6f"
     case x                            => x.toString
-  }
-
-  private def canon(rows: Seq[Row], cols: Seq[String]): Seq[Seq[String]] = {
-    val order = cols.sorted
-    val idx   = order.map(cols.indexOf)
-    rows.map(r => idx.map(i => fmt(r.get(i)))).sortBy(_.mkString(""))
   }
 
   /** Execute `sql` on an in-process DuckDB over the given Spark tables
@@ -69,34 +61,18 @@ object Oracle {
     } finally conn.close()
   }
 
-  private def requireSameColumns(sCols: Seq[String], dCols: Seq[String]): Unit =
-    require(
-      dCols.map(_.toLowerCase).toSet == sCols.map(_.toLowerCase).toSet,
-      s"column mismatch: spark=${sCols.sorted} duckdb=${dCols.sorted} — alias every output column"
-    )
-
-  def assertEquivalent(sparkDf: DataFrame, sql: String, tables: (String, DataFrame)*): Unit = {
-    val (dCols, dRows) = runDuck(sql, tables)
-    val sCols = sparkDf.columns.toSeq
-    requireSameColumns(sCols, dCols)
-    val got = canon(sparkDf.collect().toSeq, sCols)
-    val exp = canon(dRows, dCols)
-    require(got == exp,
-      s"result mismatch (${got.size} vs ${exp.size} rows):\n" +
-      s"  first spark-only: ${got.diff(exp).take(3)}\n" +
-      s"  first duck-only:  ${exp.diff(got).take(3)}"
-    )
-  }
-
-  /** Like [[assertEquivalent]], but columns in `tolerantCols` are compared as
-    * doubles with relative tolerance `relTol`, keyed by the exact remaining
+  /** Columns in `tolerantCols` are compared as doubles with relative
+    * tolerance `relTol` (two NaNs are equal), keyed by the exact remaining
     * columns (which must uniquely identify each row).
     */
   def assertEquivalentTolerant(sparkDf: DataFrame, sql: String, tolerantCols: Set[String],
                                relTol: Double, tables: (String, DataFrame)*): Unit = {
     val (dCols, dRows) = runDuck(sql, tables)
     val sCols = sparkDf.columns.toSeq
-    requireSameColumns(sCols, dCols)
+    require(
+      dCols.map(_.toLowerCase).toSet == sCols.map(_.toLowerCase).toSet,
+      s"column mismatch: spark=${sCols.sorted} duckdb=${dCols.sorted} — alias every output column"
+    )
 
     def split(rows: Seq[Row], cols: Seq[String]): Map[Seq[String], Seq[Double]] = {
       val lower = cols.map(_.toLowerCase)

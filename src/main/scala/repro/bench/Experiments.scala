@@ -1,6 +1,8 @@
 package repro.bench
 
 import org.apache.spark.sql.{DataFrame, ReproBridge, SparkSession}
+import org.apache.spark.sql.catalyst.plans.logical.{Aggregate, Join, LogicalPlan}
+import org.apache.spark.sql.catalyst.rules.Rule
 import repro.catalyst._
 import repro.core._
 import repro.flight.FlightData
@@ -78,7 +80,6 @@ object Experiments {
       case "flight" => (materialize(flightData(spark)), Workloads.flightQueries)
       case "tpcds"  => (materialize(tpcdsData(spark)), Workloads.tpcdsQueries)
     }
-    CompareSession.install(spark)
     // Warm the execution paths once on the cheapest query.
     runCompare(df, queries.head); runBasic(df, queries.head)
     val rows = queries.map { q =>
@@ -115,7 +116,6 @@ object Experiments {
   /** Ablation: each §4/§5 optimization enabled left to right (Figure 9b). */
   def ablation(spark: SparkSession): Seq[AblationRow] = {
     val df = materialize(flightData(spark))
-    CompareSession.install(spark)
     // Optimizer statistics computed once, like an engine's catalog stats —
     // Algorithm 1 consumes them, their collection is not part of the query.
     val stats = Some(Stats.collect(df, "airport" +: FlightData.AllGroupings))
@@ -145,7 +145,6 @@ object Experiments {
 
   /** Latency vs number of trends (Q2 shape), Figure 10 left. */
   def sensitivityTrends(spark: SparkSession): Seq[SweepRow] = {
-    CompareSession.install(spark)
     val rows = Seq(16, 64, 256, 1024).map { nAirports =>
       val df = materialize(FlightData.flights(spark, nAirports, FlightDays, 2))
       val q = Workloads.flightQ2
@@ -168,7 +167,6 @@ object Experiments {
   /** Latency vs number of (grouping, measure) (Q3 shape), Figure 10 middle. */
   def sensitivityGms(spark: SparkSession): Seq[SweepRow] = {
     val df = materialize(flightData(spark))
-    CompareSession.install(spark)
     val rows = Seq(1, 5, 10, 20).map { n =>
       val gms = FlightData.gmsN(n)
       // Two fixed airports compared over n (g, m) each (example-1b shape) —
@@ -190,7 +188,6 @@ object Experiments {
 
   /** Number of trends ↑ with total aggregated size fixed, Figure 10 right. */
   def sensitivityFixedSize(spark: SparkSession): Seq[SweepRow] = {
-    CompareSession.install(spark)
     val configs = Seq((137, 366), (548, 92), (2192, 23)) // airports × days ≈ 50k
     val rows = configs.map { case (a, d) =>
       val df = materialize(FlightData.flights(spark, a, d, 2))
@@ -261,9 +258,12 @@ object Experiments {
     def gainPct: Double = (without - withRule) / without * 100
   }
 
-  /** R1 (push Φ below PK-FK join) and R2 (push Υ/dedup below Φ), Figure 13. */
+  /** R1 (push Φ below PK-FK join) and R2 (push Υ/dedup below Φ), Figure 13.
+    * "Without rule" runs with the rule named in Spark's
+    * `spark.sql.optimizer.excludedRules`; "with rule" on the session's own
+    * optimizer.
+    */
   def transformationRules(spark: SparkSession): Seq[RuleRow] = {
-    CompareSession.install(spark)
     PkFkHints.register("wp_web_page_sk", "ws_web_page_sk")
     val fact = materialize(tpcdsData(spark))
     val dim = materialize(WebSalesData.webPage(spark, TpcdsPages))
@@ -281,14 +281,26 @@ object Experiments {
     def timeNode(node: CompareNode): Double =
       (1 to 3).map(_ => time(ReproBridge.ofRows(spark, node).collect())._2).min
 
+    /** Times `node` without and with `rule`; `fired` must tell the two
+      * optimized plans apart.
+      */
+    def ruleRow(name: String, rule: Rule[LogicalPlan], node: CompareNode)
+               (fired: LogicalPlan => Boolean): RuleRow = {
+      def optimized = ReproBridge.optimizedPlan(ReproBridge.ofRows(spark, node))
+      val excluded = "spark.sql.optimizer.excludedRules"
+      val original = spark.conf.getOption(excluded)
+      spark.conf.set(excluded, rule.ruleName)
+      val (without, plain) =
+        try (timeNode(node), optimized)
+        finally original.fold(spark.conf.unset(excluded))(spark.conf.set(excluded, _))
+      require(!fired(plain) && fired(optimized), s"$name: ${rule.ruleName} must fire only when not excluded")
+      RuleRow(name, without, timeNode(node))
+    }
+
     val r1Rows = Seq("Q3 (fixed page)" -> dimSpec(fixed = true),
       "Q4 (all pages)" -> dimSpec(fixed = false)).map { case (name, spec) =>
       val node = CompareNode(spec, Some(Workloads.DefaultK), ReproBridge.analyzedPlan(joined))
-      val without = timeNode(node)
-      val pushed = PushCompareBelowJoin(node).asInstanceOf[CompareNode]
-      require(pushed.spec != spec, "R1 must fire for this benchmark")
-      val withRule = timeNode(pushed)
-      RuleRow(s"R1 Φ below ⋈: $name", without, withRule)
+      ruleRow(s"R1 Φ below ⋈: $name", PushCompareBelowJoin, node)(!_.exists(_.isInstanceOf[Join]))
     }
 
     val flight = materialize(FlightData.flights(spark, FlightAirports, FlightDays, 8))
@@ -302,11 +314,7 @@ object Experiments {
         TrendsetSpec(Seq(ConstraintTerm("airport", None)), maxGm), Scorer(AggKind.Max, 2))
     ).map { case (name, spec) =>
       val node = CompareNode(spec, Some(Workloads.DefaultK), ReproBridge.analyzedPlan(flight))
-      val without = timeNode(node)
-      val deduped = DedupBelowCompare(node).asInstanceOf[CompareNode]
-      require(deduped.child != node.child, "R2 must fire for this benchmark")
-      val withRule = timeNode(deduped)
-      RuleRow(s"R2 Υ below Φ: $name", without, withRule)
+      ruleRow(s"R2 Υ below Φ: $name", DedupBelowCompare, node)(_.exists(_.isInstanceOf[Aggregate]))
     }
 
     val rows = r1Rows ++ r2Rows
@@ -327,7 +335,6 @@ object Experiments {
     * paper's DOP sweep), Figure 15a; plus Φp memory overhead, Figure 15b.
     */
   def parallelism(spark: SparkSession): (Seq[DopRow], Seq[(String, Long)]) = {
-    CompareSession.install(spark)
     val df = materialize(flightData(spark))
     val q = Workloads.flightQ2
     val original = spark.conf.get("spark.sql.shuffle.partitions")

@@ -1,61 +1,38 @@
 package repro.catalyst
 
-import org.apache.spark.sql.{DataFrame, ReproBridge, SparkSession, SparkSessionExtensions}
+import org.apache.spark.sql.{DataFrame, ReproBridge, SparkSessionExtensions}
 import repro.core.{CompareSpec, PrunedTopK, TopK}
 
-/** Installs the COMPARE extensions on a session.
-  *
-  * Two paths (§7 "these optimizations can be incorporated in other database
-  * engines supporting cost-based optimizations and addition of new
-  * transformation rules"):
-  *
-  *   - [[CompareExtensions]] — `SparkSessionExtensions` builder for sessions
-  *     created with `.withExtensions(new CompareExtensions)` (also injects
-  *     the COMPARE SQL parser);
-  *   - [[CompareSession.install]] — runtime injection through
-  *     `spark.experimental`, used by tests whose shared session predates
-  *     extension wiring.
-  *
-  * Rule R5 ([[ReduceToCompare]]) is opt-in: it rewrites *user* plans that
-  * happen to match the comparative shape, which callers must ask for.
+/** The DataFrame entry point to COMPARE. Its session must be built with
+  * [[CompareExtensions]], which plans the node.
   */
 object CompareSession {
-
-  def install(spark: SparkSession, withR5: Boolean = false): Unit = synchronized {
-    if (!spark.experimental.extraStrategies.exists(_.isInstanceOf[CompareStrategy]))
-      spark.experimental.extraStrategies = new CompareStrategy(spark) +: spark.experimental.extraStrategies
-    val rules = baseRules ++ (if (withR5) Seq(ReduceToCompare) else Nil)
-    val present = spark.experimental.extraOptimizations.toSet
-    spark.experimental.extraOptimizations =
-      spark.experimental.extraOptimizations ++ rules.filterNot(present.contains)
-  }
-
-  def uninstallR5(spark: SparkSession): Unit = synchronized {
-    spark.experimental.extraOptimizations =
-      spark.experimental.extraOptimizations.filterNot(_ == ReduceToCompare)
-  }
-
-  private[catalyst] def baseRules = Seq(PushCompareBelowJoin, PushFilterBelowCompare, DedupBelowCompare)
 
   /** Build a DataFrame whose plan is Φ over `df` — the logical-operator
     * entry point (planned by [[CompareStrategy]] into [[CompareTopKExec]]).
     * `cfg` configures Φp: the Fig. 9b ablation stages and the Fig. 11 sweep.
     */
   def compare(df: DataFrame, spec: CompareSpec, topK: Option[TopK] = None,
-              cfg: PrunedTopK.Config = PrunedTopK.Config()): DataFrame = {
-    val spark = df.sparkSession
-    install(spark)
-    ReproBridge.ofRows(spark, CompareNode(spec, topK, ReproBridge.analyzedPlan(df), cfg))
-  }
+              cfg: PrunedTopK.Config = PrunedTopK.Config()): DataFrame =
+    ReproBridge.ofRows(df.sparkSession, CompareNode(spec, topK, ReproBridge.analyzedPlan(df), cfg))
 }
 
-/** `SparkSessionExtensions` builder: strategy, rules (R1–R3), and the
+/** The one way COMPARE enters a Spark session (§7: the optimizations enter an
+  * engine as new transformation rules and a new physical operator): build the
+  * session with `.withExtensions(new CompareExtensions)` or set
+  * `spark.sql.extensions=repro.catalyst.CompareExtensions`. Injects the
+  * planner strategy, rules R1–R3 into the operator-optimization batch, and the
   * COMPARE SQL parser.
+  *
+  * Rule R5 ([[ReduceToCompare]]) is not injected: it rewrites *user* plans
+  * that happen to match the comparative shape, which a caller must ask for by
+  * adding it to the session's optimizer rules.
   */
 class CompareExtensions extends (SparkSessionExtensions => Unit) {
   override def apply(ext: SparkSessionExtensions): Unit = {
     ext.injectPlannerStrategy(session => new CompareStrategy(session))
-    CompareSession.baseRules.foreach(rule => ext.injectOptimizerRule(_ => rule))
+    Seq(PushCompareBelowJoin, PushFilterBelowCompare, DedupBelowCompare)
+      .foreach(rule => ext.injectOptimizerRule(_ => rule))
     ext.injectParser((_, delegate) => new CompareSqlParser(delegate))
   }
 }

@@ -186,16 +186,16 @@ object ReduceToCompare extends Rule[LogicalPlan] {
       })
       if (keys.exists(_.isEmpty)) return None
       val Seq((cOut, cName), (gOut, gName)) = keys.map(_.get)
-      val (agg, mName) = strip(valExprs.head) match {
-        case AggregateExpression(fn, _, false, _, _) =>
-          val kind = AggFunctions.kindOf(fn).getOrElse(return None)
-          strip(fn.children.head) match {
-            case m: AttributeReference => (kind, m.name)
-            case _                     => return None
-          }
-        case _ => return None
+      aggOf(valExprs.head).collect { case (agg, m: AttributeReference) =>
+        TrendAgg(cOut, gOut, valExprs.head.toAttribute, cName, gName, agg, m.name, src)
       }
-      Some(TrendAgg(cOut, gOut, valExprs.head.toAttribute, cName, gName, agg, mName, src))
+    case _ => None
+  }
+
+  /** A non-distinct `AGG(x)`: its kind and its (stripped) argument. */
+  private def aggOf(e: Expression): Option[(AggKind, Expression)] = strip(e) match {
+    case AggregateExpression(fn, _, false, _, _) =>
+      AggFunctions.kindOf(fn).map(_ -> strip(fn.children.head))
     case _ => None
   }
 
@@ -259,38 +259,37 @@ object ReduceToCompare extends Rule[LogicalPlan] {
     val groupIds = outer.groupingExpressions.map(strip).collect { case a: Attribute => a.exprId }
     if (groupIds.toSet != Set(ta1.cOut.exprId, ta2.cOut.exprId)) return None
 
-    // Outer agg exprs: c1, c2 pass-throughs plus AGG(POWER(ABS(v1 - v2), p)).
-    var scorer: Option[Scorer] = None
-    val outCols = outer.aggregateExpressions.map { ne =>
-      strip(ne) match {
-        case a: AttributeReference if a.exprId == ta1.cOut.exprId => Some(("c1", ne))
-        case a: AttributeReference if a.exprId == ta2.cOut.exprId => Some(("c2", ne))
-        case AggregateExpression(fn, _, false, _, _) =>
-          val kind = AggFunctions.kindOf(fn).getOrElse(return None)
-          strip(fn.children.head) match {
-            case Pow(absExpr, pLit) =>
-              val p = strip(pLit) match {
-                case Literal(v: Double, _) if v.isWhole && v >= 1 => v.toInt
-                case Literal(v: Int, _) if v >= 1                 => v
-                case _                                            => return None
-              }
-              strip(absExpr) match {
-                case Abs(sub, _) => strip(sub) match {
-                  case Subtract(l, r, _) =>
-                    val lId = strip(l) match { case a: AttributeReference => a.exprId; case _ => return None }
-                    val rId = strip(r) match { case a: AttributeReference => a.exprId; case _ => return None }
-                    if (lId == ta1.vOut.exprId && rId == ta2.vOut.exprId) {
-                      scorer = Some(Scorer(kind, p)); Some(("score", ne))
-                    } else return None
-                  case _ => return None
-                }
-                case _ => return None
-              }
-            case _ => return None
+    def attrId(e: Expression): Option[ExprId] =
+      Some(strip(e)).collect { case a: AttributeReference => a.exprId }
+
+    /** `AGG(POWER(ABS(v1 - v2), p))` over the two trend values. */
+    def scorerOf(e: Expression): Option[Scorer] = aggOf(e).flatMap {
+      case (kind, Pow(absExpr, pLit)) =>
+        val p = strip(pLit) match {
+          case Literal(v: Double, _) if v.isWhole && v >= 1 => Some(v.toInt)
+          case Literal(v: Int, _) if v >= 1                 => Some(v)
+          case _                                            => None
+        }
+        val diffOfValues = strip(absExpr) match {
+          case Abs(sub, _) => strip(sub) match {
+            case Subtract(l, r, _) =>
+              attrId(l).contains(ta1.vOut.exprId) && attrId(r).contains(ta2.vOut.exprId)
+            case _ => false
           }
-        case _ => return None
-      }
+          case _ => false
+        }
+        p.filter(_ => diffOfValues).map(Scorer(kind, _))
+      case _ => None
     }
+
+    // Outer agg exprs: c1, c2 pass-throughs plus the score.
+    def roleOf(ne: NamedExpression): Option[String] = strip(ne) match {
+      case a: AttributeReference if a.exprId == ta1.cOut.exprId => Some("c1")
+      case a: AttributeReference if a.exprId == ta2.cOut.exprId => Some("c2")
+      case _ => scorerOf(ne).map(_ => "score")
+    }
+    val outCols = outer.aggregateExpressions.map(ne => roleOf(ne).map(_ -> ne))
+    val scorer = outer.aggregateExpressions.flatMap(scorerOf).lastOption
     if (outCols.exists(_.isEmpty) || scorer.isEmpty) return None
 
     val ts = TrendsetSpec(Seq(ConstraintTerm(ta1.cName, None)),

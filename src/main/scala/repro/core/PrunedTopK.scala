@@ -83,13 +83,19 @@ object PrunedTopK {
     var tuplesCompared = 0L
     var segmentsProcessed = 0L
 
+    /** Scores best first: ascending or descending in the total order of
+      * `java.lang.Double.compare`, which puts NaN above +∞ as Spark's ORDER BY
+      * does, so a NaN score ranks last ASC and first DESC.
+      */
+    val byRank: Ordering[Double] =
+      if (topK.ascending) Ordering.Double.TotalOrdering else Ordering.Double.TotalOrdering.reverse
+
     /** The k best by score, ties broken by the two constraint tuples in
       * [[PairRule.compare]]'s order, then the (g, m)s.
       */
     def sortSelect(all: Seq[(SegTrend, SegTrend, Double)]): Seq[ScoredPair] = {
-      def rankScore(s: Double): Double = if (topK.ascending) s else -s
       val rank: Ordering[(SegTrend, SegTrend, Double)] = (a, b) => {
-        var c = java.lang.Double.compare(rankScore(a._3), rankScore(b._3))
+        var c = byRank.compare(a._3, b._3)
         if (c == 0) c = PairRule.compare(a._1.key, b._1.key)
         if (c == 0) c = PairRule.compare(a._2.key, b._2.key)
         if (c == 0) c = Integer.compare(a._1.gm, b._1.gm)
@@ -114,9 +120,8 @@ object PrunedTopK {
         PruneStats(scored.size, 0, 0, 0, tuplesCompared, trendCount, summaryDoubles))
     }
 
-    // --- Bound: per-pair segment bounds; rank space maximizes "bestness" ---
-    // rank = score (descending search) or -score (ascending search);
-    // optimistic = best achievable rank, guarantee = certain rank.
+    // --- Bound: per-pair segment bounds; optimistic = the best score a pair
+    // can still reach, guarantee = its worst, both ranked by `byRank` ---
     val p = spec.scorer.p
     final class PairState(val t1: SegTrend, val t2: SegTrend) {
       val seg = t1.seg
@@ -131,8 +136,8 @@ object PrunedTopK {
         if (spec.scorer.agg == AggKind.Avg) sum / totalMatched else sum
       def lowerScore: Double = toScore(exactSum + remLower)
       def upperScore: Double = toScore(exactSum + remUpper)
-      def optimistic: Double = if (topK.ascending) -lowerScore else upperScore
-      def guarantee: Double  = if (topK.ascending) -upperScore else lowerScore
+      def optimistic: Double = if (topK.ascending) lowerScore else upperScore
+      def guarantee: Double  = if (topK.ascending) upperScore else lowerScore
       def exactScoreNow: Double = { assert(done); toScore(exactSum) }
       def processOneSegment(): Unit = {
         val (sum, _, touched) = exactSegment(t1, t2, nextSeg, p)
@@ -154,6 +159,9 @@ object PrunedTopK {
         if (done) { remLower = 0.0; remUpper = 0.0 }
       }
       skipUnmatched()
+      // A NaN value makes the segment bounds unsound (it fails every
+      // comparison), so a pair holding one is scored exactly up front.
+      if (t1.hasNaN || t2.hasNaN) while (!done) processOneSegment()
     }
 
     val pairs = candidates.map { case (t1, t2) => new PairState(t1, t2) }
@@ -162,11 +170,13 @@ object PrunedTopK {
 
     // Pruning threshold T: the k-th best initial guarantee over distinct
     // pairs. It is not raised during the search: the priority queue alone
-    // ends it, and T only keeps hopeless pairs out of the queue.
+    // ends it, and T only keeps hopeless pairs (optimistic ranked after T) out
+    // of the queue.
     val threshold =
-      if (pairs.size < topK.k) Double.NegativeInfinity
-      else pairs.map(_.guarantee).sorted(Ordering[Double].reverse)(topK.k - 1)
-    val initiallyAlive = pairs.filter(_.optimistic >= threshold)
+      if (pairs.size < topK.k) None
+      else Some(pairs.map(_.guarantee).sorted(byRank).apply(topK.k - 1))
+    def alive(st: PairState): Boolean = threshold.forall(byRank.lteq(st.optimistic, _))
+    val initiallyAlive = pairs.filter(alive)
     val pairsPrunedInitial = pairsTotal - initiallyAlive.size
 
     if (!cfg.useEarlyTermination) {
@@ -181,7 +191,7 @@ object PrunedTopK {
     }
 
     // --- Early termination (Algorithm 2): refine the most promising pair ---
-    val pq = mutable.PriorityQueue.empty[PairState](Ordering.by(_.optimistic))
+    val pq = mutable.PriorityQueue.empty(Ordering.by[PairState, Double](_.optimistic)(byRank.reverse))
     initiallyAlive.foreach(pq.enqueue(_))
     val results = mutable.ArrayBuffer.empty[(SegTrend, SegTrend, Double)]
     var pairsPrunedSearch = 0L
@@ -192,7 +202,7 @@ object PrunedTopK {
         results += ((top.t1, top.t2, top.exactScoreNow))
       } else {
         top.processOneSegment()
-        if (top.optimistic >= threshold) pq.enqueue(top)
+        if (alive(top)) pq.enqueue(top)
         else pairsPrunedSearch += 1
       }
     }

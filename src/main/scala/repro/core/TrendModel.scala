@@ -67,6 +67,8 @@ object TrendModel {
     val n: Int = codes.length
     /** Dense = one tuple for every dictionary value (the common OLAP case). */
     val dense: Boolean = n == seg.domain
+    /** A NaN value: this trend's segment bounds are unsound. */
+    val hasNaN: Boolean = values.exists(_.isNaN)
     /** The constraint values as [[PairRule.compare]] orders them. */
     lazy val key: Array[UTF8String] = c.iterator.map(UTF8String.fromString).toArray
   }
@@ -155,11 +157,7 @@ object TrendModel {
   def exactScore(t1: SegTrend, t2: SegTrend, scorer: Scorer): (Option[Double], Int) = {
     var i = 0; var j = 0
     var n = 0
-    var acc = scorer.agg match {
-      case AggKind.Sum | AggKind.Avg => 0.0
-      case AggKind.Min               => Double.PositiveInfinity
-      case AggKind.Max               => Double.NegativeInfinity
-    }
+    var acc = 0.0
     var touched = 0
     while (i < t1.n && j < t2.n) {
       touched += 1
@@ -169,8 +167,9 @@ object TrendModel {
         n += 1
         scorer.agg match {
           case AggKind.Sum | AggKind.Avg => acc += d
-          case AggKind.Min               => acc = math.min(acc, d)
-          case AggKind.Max               => acc = math.max(acc, d)
+          // In the order Spark's MIN/MAX use: NaN above every number.
+          case AggKind.Min => if (n == 1 || java.lang.Double.compare(d, acc) < 0) acc = d
+          case AggKind.Max => if (n == 1 || java.lang.Double.compare(d, acc) > 0) acc = d
         }
         i += 1; j += 1
       } else if (ci < cj) i += 1

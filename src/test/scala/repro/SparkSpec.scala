@@ -3,8 +3,10 @@ package repro
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
+import repro.catalyst.CompareExtensions
 
-/** Base for every test: one local-mode SparkSession for the whole run.
+/** Base for every test: one local-mode SparkSession for the whole run,
+  * built with [[CompareExtensions]] as every COMPARE session is.
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
   * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
@@ -26,6 +28,7 @@ object SparkSpec {
       .config("spark.sql.shuffle.partitions",
               sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
+      .withExtensions(new CompareExtensions)
       .getOrCreate()
     // One line in test output that tells the driver whether the cgroup
     // derivation saw the real limit (README § Spark target).

@@ -26,7 +26,8 @@ object TestUtil {
     rows.toMap
   }
 
-  private def close(a: Double, b: Double): Boolean =
+  /** Two NaN scores are equal; a NaN against a number is not. */
+  private def close(a: Double, b: Double): Boolean = (a.isNaN && b.isNaN) ||
     math.abs(a - b) <= math.max(1e-9, RelTol * math.max(math.abs(a), math.abs(b)))
 
   def assertSameResult(a: DataFrame, b: DataFrame, hint: String = ""): Unit = {

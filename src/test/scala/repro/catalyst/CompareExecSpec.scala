@@ -258,6 +258,29 @@ class CompareExecSpec extends SparkSpec {
     checkEdge(edgeDf(rows), symCity(), 5 * 4 / 2)
   }
 
+  test("edge: a NaN measure scores its pairs NaN, ranked as Spark orders NaN") {
+    // (B, 2) is NaN, so B's three pairs score NaN: last ASC, first DESC.
+    val df = edgeDf(edgeRows.map(r =>
+      if (r.get(0) == "B" && r.get(2) == 2) Row("B", r.get(1), 2, Double.NaN) else r))
+    val spec = symCity()
+    checkEdge(df, spec, 4 * 3 / 2)
+    val basic = BasicExec.run(df, spec)
+    val configs = Seq(PrunedTopK.Config(), PrunedTopK.Config(useEarlyTermination = false),
+      PrunedTopK.Config(usePruning = false))
+    // Top-k cuts that fall between two distinct scores.
+    for ((k, asc) <- Seq((1, true), (3, true), (3, false), (4, false)); cfg <- configs) {
+      val expect = basic.orderBy(if (asc) col("score").asc else col("score").desc).limit(k)
+      TestUtil.assertSameResult(CompareSession.compare(df, spec, Some(TopK(k, asc)), cfg), expect,
+        s"top $k ${if (asc) "ASC" else "DESC"}, $cfg:")
+    }
+    val top4Desc = basic.orderBy(col("score").desc).limit(4)
+    TestUtil.assertSameResult(udfTopK(df, spec, TopK(4, ascending = false)), top4Desc)
+    TestUtil.assertSameResult(middlewareTopK(df, spec, TopK(4, ascending = false)), top4Desc)
+    // MIN and MAX scorers aggregate NaN in the same order: MIN skips it.
+    for (agg <- Seq(AggKind.Min, AggKind.Max))
+      checkEdge(df, spec.copy(scorer = Scorer(agg, 2)), 4 * 3 / 2)
+  }
+
   test("edge: multi-attribute symmetric keys are ordered tuple-wise") {
     // Joined without a separator ("a","bc") and ("ab","c") are equal; joined
     // with U+0001, ("a\u0001","z") sorts before ("a","b").

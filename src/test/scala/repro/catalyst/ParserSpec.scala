@@ -98,19 +98,16 @@ class ParserSpec extends SparkSpec {
 
   test("parsed plan executes end-to-end and matches the basic plan") {
     sales.createOrReplaceTempView("sales")
-    CompareSession.install(spark)
-    val plan = CompareStatementParser.parse(
+    val df = spark.sql(
       "COMPARE TABLE sales [city <-> city] [(week, AVG(revenue))] USING SUM OVER DIFF(2)")
-    val df = ReproBridge.ofRows(spark, plan)
     TestUtil.assertSameResult(df, BasicExec.run(sales, Specs.symCities()))
   }
 
   test("parsed TOP k plan returns k rows") {
     sales.createOrReplaceTempView("sales")
-    CompareSession.install(spark)
-    val plan = CompareStatementParser.parse(
+    val df = spark.sql(
       "COMPARE TABLE sales [city <-> city] [(week, AVG(revenue))] USING SUM OVER DIFF(2) TOP 3 ASC")
-    assert(ReproBridge.ofRows(spark, plan).count() == 3)
+    assert(df.count() == 3)
   }
 
   test("CompareExtensions builder injects without error") {

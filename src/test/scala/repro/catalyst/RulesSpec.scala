@@ -45,7 +45,6 @@ class RulesSpec extends SparkSpec {
     PkFkHints.register("wp_web_page_sk", "ws_web_page_sk")
     val joined = fact.join(dim, fact("ws_web_page_sk") === dim("wp_web_page_sk"))
     val node = CompareNode(wsSpec("wp_web_page_sk"), None, ReproBridge.analyzedPlan(joined))
-    CompareSession.install(spark)
     val before = ReproBridge.ofRows(spark, node)
     val after  = ReproBridge.ofRows(spark, PushCompareBelowJoin(node))
     // The rule preserves output attributes (names included); values are equal
@@ -79,7 +78,6 @@ class RulesSpec extends SparkSpec {
   // ---------------------------------------------------------------- R3
 
   test("R3 pushes a both-sides partition-column filter below COMPARE") {
-    CompareSession.install(spark)
     val cmp = CompareSession.compare(sales, Specs.symCities(), None)
     val filtered = cmp.where(col("city_1").isin("City1", "City2", "City3") &&
       col("city_2").isin("City1", "City2", "City3"))
@@ -95,7 +93,6 @@ class RulesSpec extends SparkSpec {
   }
 
   test("R3 does not push a single-sided filter (would change results)") {
-    CompareSession.install(spark)
     val cmp = CompareSession.compare(sales, Specs.symCities(), None)
     val filtered = cmp.where(col("city_1") === "City1")
     val optimized = ReproBridge.optimizedPlan(filtered)
@@ -115,7 +112,6 @@ class RulesSpec extends SparkSpec {
     assert(pushed.spec != node.spec, "R1 must fire")
     assert(pushed.cfg == cfg)
 
-    CompareSession.install(spark)
     val filtered = CompareSession.compare(sales, Specs.symCities(), None, cfg)
       .where(col("city_1").isin("City1", "City2") && col("city_2").isin("City1", "City2"))
     val cn = ReproBridge.optimizedPlan(filtered).collectFirst { case c: CompareNode => c }.get
@@ -147,7 +143,6 @@ class RulesSpec extends SparkSpec {
   }
 
   test("R2 preserves results for MAX trends") {
-    CompareSession.install(spark)
     val node = CompareNode(minMaxSpec, None, ReproBridge.analyzedPlan(sales))
     TestUtil.assertSameResult(
       ReproBridge.ofRows(spark, node),
@@ -180,7 +175,6 @@ class RulesSpec extends SparkSpec {
 
   test("R5 rewrite preserves results") {
     sales.createOrReplaceTempView("sales")
-    CompareSession.install(spark)
     for (sql <- Seq(comparativeSql, comparativeSql("week", "city"))) {
       val df = spark.sql(sql)
       val rewritten = ReduceToCompare(ReproBridge.optimizedPlan(df))
@@ -201,7 +195,8 @@ class RulesSpec extends SparkSpec {
 
   test("R5 installed in the optimizer plans straight to CompareTopKExec") {
     sales.createOrReplaceTempView("sales")
-    CompareSession.install(spark, withR5 = true)
+    val rules = spark.experimental.extraOptimizations
+    spark.experimental.extraOptimizations = rules :+ ReduceToCompare
     try {
       val df = spark.sql(comparativeSql)
       assert(CompareTopKExec.in(df).isDefined, s"plan:\n${ReproBridge.executedPlan(df)}")
@@ -209,6 +204,6 @@ class RulesSpec extends SparkSpec {
       val expect = BasicExec.run(sales, Specs.symCities())
         .select(col("city_1").as("c1"), col("city_2").as("c2"), col("score"))
       TestUtil.assertSameResult(df, expect)
-    } finally CompareSession.uninstallR5(spark)
+    } finally spark.experimental.extraOptimizations = rules
   }
 }
