@@ -11,8 +11,7 @@ class ParallelismBench extends SparkSpec {
     dop.foreach(r => assert(r.compare < r.basic,
       s"partitions=${r.partitions}: compare ${r.compare}s vs basic ${r.basic}s"))
     // Summary structures stay far below the paper's <13% overhead bound.
-    val inputBytes = Experiments.FlightAirports.toLong *
-      Experiments.FlightDays * Experiments.FlightRowsPerCell * 60
+    val inputBytes = Experiments.FlightInputBytes
     mem.foreach { case (q, b) =>
       assert(b > 0, s"$q: no summary stats recorded")
       assert(b.toDouble / inputBytes < 0.13, s"$q: overhead ${b.toDouble / inputBytes}")

@@ -62,8 +62,9 @@ object Oracle {
   }
 
   /** Columns in `tolerantCols` are compared as doubles with relative
-    * tolerance `relTol` (two NaNs are equal), keyed by the exact remaining
-    * columns (which must uniquely identify each row).
+    * tolerance `relTol` (two NaNs are equal, as are two equal infinities),
+    * keyed by the exact remaining columns (which must uniquely identify each
+    * row).
     */
   def assertEquivalentTolerant(sparkDf: DataFrame, sql: String, tolerantCols: Set[String],
                                relTol: Double, tables: (String, DataFrame)*): Unit = {
@@ -108,7 +109,7 @@ object Oracle {
     got.foreach { case (key, nums) =>
       val expected = exp(key)
       nums.zip(expected).foreach { case (a, b) =>
-        val ok = (a.isNaN && b.isNaN) ||
+        val ok = a == b || (a.isNaN && b.isNaN) ||
           math.abs(a - b) <= math.max(1e-9, relTol * math.max(math.abs(a), math.abs(b)))
         require(ok, s"value mismatch at $key: spark=$a duckdb=$b (relTol=$relTol)")
       }

@@ -25,6 +25,8 @@ object Experiments {
   val FlightAirports = 160
   val FlightDays = 366
   val FlightRowsPerCell = 12
+  /** Approximate bytes of the Flight-lite input (60 per raw row). */
+  val FlightInputBytes: Long = FlightAirports.toLong * FlightDays * FlightRowsPerCell * 60
   val TpcdsRows = 1500000L
   val TpcdsPages = 256
   val TpcdsItems = 200
@@ -143,18 +145,23 @@ object Experiments {
 
   final case class SweepRow(x: Long, basic: Option[Double], compare: Double)
 
+  /** Q2 on `flights(airports, days, 2)`: the operator's latency, and the
+    * basic plan's up to `basicUpTo` airports. The basic plan's trendset join
+    * grows superlinearly, so it is skipped past that (the paper's point, made
+    * by omission).
+    */
+  private def q2Point(spark: SparkSession, airports: Int, days: Int, basicUpTo: Int): SweepRow = {
+    val df = materialize(FlightData.flights(spark, airports, days, 2))
+    val q = Workloads.flightQ2
+    val c = runCompare(df, q)
+    val b = if (airports <= basicUpTo) Some(runBasic(df, q)) else None
+    release(df)
+    SweepRow(airports.toLong, b, c)
+  }
+
   /** Latency vs number of trends (Q2 shape), Figure 10 left. */
   def sensitivityTrends(spark: SparkSession): Seq[SweepRow] = {
-    val rows = Seq(16, 64, 256, 1024).map { nAirports =>
-      val df = materialize(FlightData.flights(spark, nAirports, FlightDays, 2))
-      val q = Workloads.flightQ2
-      val c = runCompare(df, q)
-      // The basic plan's trendset join grows superlinearly — skip at the
-      // largest point (the paper's point, made by omission).
-      val b = if (nAirports <= 256) Some(runBasic(df, q)) else None
-      release(df)
-      SweepRow(nAirports.toLong, b, c)
-    }
+    val rows = Seq(16, 64, 256, 1024).map(q2Point(spark, _, FlightDays, basicUpTo = 256))
     table("Fig. 10 (repro): latency vs number of trends (Q2, flight)",
       Seq("airports (trends)", "SQL-basic (s)", "COMPARE (s)"),
       rows.map(r => Seq(r.x.toString, r.basic.map(fmtSec).getOrElse("— (join too large)"),
@@ -189,14 +196,7 @@ object Experiments {
   /** Number of trends ↑ with total aggregated size fixed, Figure 10 right. */
   def sensitivityFixedSize(spark: SparkSession): Seq[SweepRow] = {
     val configs = Seq((137, 366), (548, 92), (2192, 23)) // airports × days ≈ 50k
-    val rows = configs.map { case (a, d) =>
-      val df = materialize(FlightData.flights(spark, a, d, 2))
-      val q = Workloads.flightQ2
-      val c = runCompare(df, q)
-      val b = if (a <= 600) Some(runBasic(df, q)) else None
-      release(df)
-      SweepRow(a.toLong, b, c)
-    }
+    val rows = configs.map { case (a, d) => q2Point(spark, a, d, basicUpTo = 600) }
     table("Fig. 10 (repro): trends ↑, total aggregated size fixed (Q2, flight)",
       Seq("airports (trend size)", "SQL-basic (s)", "COMPARE (s)"),
       rows.zip(configs).map { case (r, (_, d)) =>
@@ -354,11 +354,10 @@ object Experiments {
       compared.collect()
       qq.id -> CompareTopKExec.in(compared).fold(0L)(_.metrics("summarySize").value)
     }
-    val inputBytes = FlightAirports.toLong * FlightDays * FlightRowsPerCell * 60
     table("Fig. 15b (repro): Φp summary-structure memory overhead",
       Seq("query", "summary bytes", "input bytes (approx)", "overhead"),
       memRows.map { case (id, b) =>
-        Seq(id, b.toString, inputBytes.toString, f"${b.toDouble / inputBytes * 100}%.3f%%")
+        Seq(id, b.toString, FlightInputBytes.toString, f"${b.toDouble / FlightInputBytes * 100}%.3f%%")
       },
       Seq("Paper: < 13% committed-memory overhead; the summary structures themselves " +
         "are O(p·log(n/p)) — tiny relative to the data."))

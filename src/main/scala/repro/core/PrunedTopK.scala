@@ -87,23 +87,28 @@ object PrunedTopK {
       * `java.lang.Double.compare`, which puts NaN above +∞ as Spark's ORDER BY
       * does, so a NaN score ranks last ASC and first DESC.
       */
-    val byRank: Ordering[Double] =
-      if (topK.ascending) Ordering.Double.TotalOrdering else Ordering.Double.TotalOrdering.reverse
+    def byScore(a: Double, b: Double): Int =
+      if (topK.ascending) java.lang.Double.compare(a, b) else java.lang.Double.compare(b, a)
 
-    /** The k best by score, ties broken by the two constraint tuples in
-      * [[PairRule.compare]]'s order, then the (g, m)s.
+    /** Φp's one rank of pairs: by score, ties broken by the two constraint
+      * tuples in [[PairRule.compare]]'s order, then the two (g, m)s. The
+      * result order, and the priority queue's order over optimistic bounds,
+      * so early termination returns the pairs tied at the k-th score that
+      * the other stages return.
       */
-    def sortSelect(all: Seq[(SegTrend, SegTrend, Double)]): Seq[ScoredPair] = {
-      val rank: Ordering[(SegTrend, SegTrend, Double)] = (a, b) => {
-        var c = byRank.compare(a._3, b._3)
-        if (c == 0) c = PairRule.compare(a._1.key, b._1.key)
-        if (c == 0) c = PairRule.compare(a._2.key, b._2.key)
-        if (c == 0) c = Integer.compare(a._1.gm, b._1.gm)
-        if (c == 0) c = Integer.compare(a._2.gm, b._2.gm)
-        c
-      }
-      all.sorted(rank).take(topK.k).map { case (t1, t2, s) => ScoredPair(t1.c, t2.c, t1.gm, t2.gm, s) }
+    def rank(s: Double, a1: SegTrend, a2: SegTrend, t: Double, b1: SegTrend, b2: SegTrend): Int = {
+      var c = byScore(s, t)
+      if (c == 0) c = PairRule.compare(a1.key, b1.key)
+      if (c == 0) c = PairRule.compare(a2.key, b2.key)
+      if (c == 0) c = Integer.compare(a1.gm, b1.gm)
+      if (c == 0) c = Integer.compare(a2.gm, b2.gm)
+      c
     }
+
+    /** The k best pairs in [[rank]]'s order. */
+    def sortSelect(all: Seq[(SegTrend, SegTrend, Double)]): Seq[ScoredPair] =
+      all.sorted[(SegTrend, SegTrend, Double)]((a, b) => rank(a._3, a._1, a._2, b._3, b._1, b._2))
+        .take(topK.k).map { case (t1, t2, s) => ScoredPair(t1.c, t2.c, t1.gm, t2.gm, s) }
 
     val boundsSupported =
       spec.scorer.agg == AggKind.Sum || spec.scorer.agg == AggKind.Avg
@@ -111,7 +116,7 @@ object PrunedTopK {
     if (!cfg.usePruning || !boundsSupported) {
       // Exhaustive trendwise scoring (ablation stage / unsupported scorer).
       val scored = candidates.flatMap { case (t1, t2) =>
-        val (s, touched) = exactScore(t1, t2, spec.scorer)
+        val (s, _, touched) = exactScore(t1, t2, spec.scorer)
         tuplesCompared += touched
         s.map((t1, t2, _))
       }
@@ -120,17 +125,24 @@ object PrunedTopK {
         PruneStats(scored.size, 0, 0, 0, tuplesCompared, trendCount, summaryDoubles))
     }
 
-    // --- Bound: per-pair segment bounds; optimistic = the best score a pair
-    // can still reach, guarantee = its worst, both ranked by `byRank` ---
+    // --- Bound: each pair's segment bounds summed once; optimistic = the
+    // best score a pair can still reach, guarantee = its worst, both ranked
+    // by `byScore`. A segment's bound is recomputed when it is refined. ---
     val p = spec.scorer.p
+    val segScorer = Scorer(AggKind.Sum, p)
     final class PairState(val t1: SegTrend, val t2: SegTrend) {
       val seg = t1.seg
-      val bounds: Array[SegBound] = Array.tabulate(seg.count)(s => segBound(t1, t2, s, p))
-      val totalMatched: Int = bounds.map(_.matched).sum
-      var nextSeg = 0
+      var totalMatched = 0; var remLower = 0.0; var remUpper = 0.0
       var exactSum = 0.0
-      var remLower: Double = bounds.map(_.lower).sum
-      var remUpper: Double = bounds.map(_.upper).sum
+      /** The next segment to refine: always one with a matched tuple. */
+      var nextSeg = seg.count
+      for (s <- 0 until seg.count) {
+        val b = segBound(t1, t2, s, p)
+        if (b.matched > 0 && nextSeg == seg.count) nextSeg = s
+        totalMatched += b.matched
+        remLower += b.lower
+        remUpper += b.upper
+      }
       def done: Boolean = nextSeg >= seg.count
       private def toScore(sum: Double): Double =
         if (spec.scorer.agg == AggKind.Avg) sum / totalMatched else sum
@@ -140,28 +152,26 @@ object PrunedTopK {
       def guarantee: Double  = if (topK.ascending) upperScore else lowerScore
       def exactScoreNow: Double = { assert(done); toScore(exactSum) }
       def processOneSegment(): Unit = {
-        val (sum, _, touched) = exactSegment(t1, t2, nextSeg, p)
+        val b = segBound(t1, t2, nextSeg, p)
+        val (sum, _, touched) = exactScore(t1, t2, segScorer, seg.lo(nextSeg), seg.hi(nextSeg))
         tuplesCompared += touched
         segmentsProcessed += 1
-        exactSum += sum
-        remLower -= bounds(nextSeg).lower
-        remUpper -= bounds(nextSeg).upper
+        sum.foreach(exactSum += _)
+        remLower -= b.lower
+        remUpper -= b.upper
         nextSeg += 1
-        skipUnmatched()
-      }
-      /** Skip zero-match segments outright — they contribute nothing. Once
-        * none is left the residues are exactly 0: repeated subtraction leaves
-        * rounding noise that could put `lowerScore` above `upperScore`, and a
-        * finished pair setting the k-th threshold would then prune itself.
-        */
-      private def skipUnmatched(): Unit = {
-        while (!done && bounds(nextSeg).matched == 0) nextSeg += 1
+        // Skip zero-match segments outright — they contribute nothing. Once
+        // none is left the residues are exactly 0: repeated subtraction
+        // leaves rounding noise that could put `lowerScore` above
+        // `upperScore`, and a finished pair setting the k-th threshold would
+        // then prune itself.
+        while (!done && segBound(t1, t2, nextSeg, p).matched == 0) nextSeg += 1
         if (done) { remLower = 0.0; remUpper = 0.0 }
       }
-      skipUnmatched()
-      // A NaN value makes the segment bounds unsound (it fails every
-      // comparison), so a pair holding one is scored exactly up front.
-      if (t1.hasNaN || t2.hasNaN) while (!done) processOneSegment()
+      // A NaN or infinite value makes the segment bounds unsound (NaN fails
+      // every comparison; ∞ − ∞ is NaN), so a pair holding one is scored
+      // exactly up front.
+      if (t1.hasNonFinite || t2.hasNonFinite) while (!done) processOneSegment()
     }
 
     val pairs = candidates.map { case (t1, t2) => new PairState(t1, t2) }
@@ -174,8 +184,8 @@ object PrunedTopK {
     // of the queue.
     val threshold =
       if (pairs.size < topK.k) None
-      else Some(pairs.map(_.guarantee).sorted(byRank).apply(topK.k - 1))
-    def alive(st: PairState): Boolean = threshold.forall(byRank.lteq(st.optimistic, _))
+      else Some(pairs.map(_.guarantee).sorted[Double](byScore(_, _)).apply(topK.k - 1))
+    def alive(st: PairState): Boolean = threshold.forall(byScore(st.optimistic, _) <= 0)
     val initiallyAlive = pairs.filter(alive)
     val pairsPrunedInitial = pairsTotal - initiallyAlive.size
 
@@ -191,7 +201,9 @@ object PrunedTopK {
     }
 
     // --- Early termination (Algorithm 2): refine the most promising pair ---
-    val pq = mutable.PriorityQueue.empty(Ordering.by[PairState, Double](_.optimistic)(byRank.reverse))
+    // Dequeues the best pair in `rank`'s order of optimistic bounds.
+    val pq = mutable.PriorityQueue.empty[PairState]((a, b) =>
+      rank(b.optimistic, b.t1, b.t2, a.optimistic, a.t1, a.t2))
     initiallyAlive.foreach(pq.enqueue(_))
     val results = mutable.ArrayBuffer.empty[(SegTrend, SegTrend, Double)]
     var pairsPrunedSearch = 0L

@@ -26,8 +26,10 @@ object TestUtil {
     rows.toMap
   }
 
-  /** Two NaN scores are equal; a NaN against a number is not. */
-  private def close(a: Double, b: Double): Boolean = (a.isNaN && b.isNaN) ||
+  /** Two NaN scores are equal, as are two equal infinities; a NaN against a
+    * number is not.
+    */
+  def close(a: Double, b: Double): Boolean = a == b || (a.isNaN && b.isNaN) ||
     math.abs(a - b) <= math.max(1e-9, RelTol * math.max(math.abs(a), math.abs(b)))
 
   def assertSameResult(a: DataFrame, b: DataFrame, hint: String = ""): Unit = {

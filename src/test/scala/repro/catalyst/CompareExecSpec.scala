@@ -258,6 +258,10 @@ class CompareExecSpec extends SparkSpec {
     checkEdge(edgeDf(rows), symCity(), 5 * 4 / 2)
   }
 
+  /** Φp's three stages: default, no early termination, no pruning. */
+  private val phiConfigs = Seq(PrunedTopK.Config(), PrunedTopK.Config(useEarlyTermination = false),
+    PrunedTopK.Config(usePruning = false))
+
   test("edge: a NaN measure scores its pairs NaN, ranked as Spark orders NaN") {
     // (B, 2) is NaN, so B's three pairs score NaN: last ASC, first DESC.
     val df = edgeDf(edgeRows.map(r =>
@@ -265,10 +269,8 @@ class CompareExecSpec extends SparkSpec {
     val spec = symCity()
     checkEdge(df, spec, 4 * 3 / 2)
     val basic = BasicExec.run(df, spec)
-    val configs = Seq(PrunedTopK.Config(), PrunedTopK.Config(useEarlyTermination = false),
-      PrunedTopK.Config(usePruning = false))
     // Top-k cuts that fall between two distinct scores.
-    for ((k, asc) <- Seq((1, true), (3, true), (3, false), (4, false)); cfg <- configs) {
+    for ((k, asc) <- Seq((1, true), (3, true), (3, false), (4, false)); cfg <- phiConfigs) {
       val expect = basic.orderBy(if (asc) col("score").asc else col("score").desc).limit(k)
       TestUtil.assertSameResult(CompareSession.compare(df, spec, Some(TopK(k, asc)), cfg), expect,
         s"top $k ${if (asc) "ASC" else "DESC"}, $cfg:")
@@ -279,6 +281,53 @@ class CompareExecSpec extends SparkSpec {
     // MIN and MAX scorers aggregate NaN in the same order: MIN skips it.
     for (agg <- Seq(AggKind.Min, AggKind.Max))
       checkEdge(df, spec.copy(scorer = Scorer(agg, 2)), 4 * 3 / 2)
+  }
+
+  test("edge: an infinite measure scores its pairs +∞, and top-k keeps every row") {
+    def withValue(cities: Set[String], v: Double): DataFrame = edgeDf(edgeRows.map(r =>
+      if (cities(r.getString(0)) && r.get(2) == 2) Row(r.get(0), r.get(1), 2, v) else r))
+    val plusInf = withValue(Set("B"), Double.PositiveInfinity)
+    val minusInf = withValue(Set("B"), Double.NegativeInfinity)
+    // B–C scores NaN (∞ − ∞); the other B and C pairs score +∞.
+    val twoInf = withValue(Set("B", "C"), Double.PositiveInfinity)
+    val spec = symCity()
+    checkEdge(plusInf, spec, 4 * 3 / 2)
+    checkEdge(minusInf, spec, 4 * 3 / 2)
+    // Tied +∞ pairs have no defined order in Spark's sort, so each cut is
+    // compared by its row count and the multiset of its scores.
+    def scores(df: DataFrame): Seq[Double] =
+      df.collect().map(_.getAs[Double]("score")).toSeq.sorted(Ordering.Double.TotalOrdering)
+    for (df <- Seq(plusInf, minusInf, twoInf)) {
+      val basic = BasicExec.run(df, spec)
+      for (k <- 1 to 6; asc <- Seq(true, false); cfg <- phiConfigs) {
+        val hint = s"top $k ${if (asc) "ASC" else "DESC"}, $cfg:"
+        val expect = scores(basic.orderBy(if (asc) col("score").asc else col("score").desc).limit(k))
+        val got = scores(CompareSession.compare(df, spec, Some(TopK(k, asc)), cfg))
+        assert(got.size == expect.size, s"$hint ${got.size} rows vs ${expect.size}")
+        assert(got.zip(expect).forall { case (a, b) => TestUtil.close(a, b) }, s"$hint $got vs $expect")
+      }
+    }
+  }
+
+  test("every Φp config returns the same pairs tied at the k-th score") {
+    // C, D and E have identical trends: C–D, C–E and D–E score 0, and each of
+    // A and B scores the same against all three.
+    val rows = for {
+      (city, ci) <- Seq("A", "B", "C", "D", "E").zipWithIndex
+      week <- 1 to 12
+    } yield {
+      val i = math.min(ci, 2)
+      Row(city, "P0", week, (i + 1) * week + 0.37 * i * i + 0.011 * week * week)
+    }
+    val df = edgeDf(rows)
+    def pairs(k: TopK, cfg: PrunedTopK.Config): Set[(String, String)] =
+      CompareSession.compare(df, symCity(), Some(k), cfg).collect()
+        .map(r => (r.getAs[String]("city_1"), r.getAs[String]("city_2"))).toSet
+    for (k <- 1 to 10; asc <- Seq(true, false)) {
+      val byConfig = phiConfigs.map(cfg => cfg -> pairs(TopK(k, asc), cfg))
+      assert(byConfig.map(_._2).distinct.size == 1,
+        s"top $k ${if (asc) "ASC" else "DESC"}: ${byConfig.mkString("; ")}")
+    }
   }
 
   test("edge: multi-attribute symmetric keys are ordered tuple-wise") {

@@ -81,11 +81,11 @@ class TrendModelSpec extends AnyFunSuite {
     assert(math.abs(b.lower - expLower) < 1e-9)
     assert(b.upper == expUpper)
     assert(b.upper == 6400.0) // max(|18-20|, |30-10|)^2 * 16, as in the paper
-    val (exact, m, _) = exactSegment(t1, t2, 0, 2)
+    val (exact, m, _) = exactScore(t1, t2, Scorer(AggKind.Sum, 2), s.lo(0), s.hi(0))
     assert(m == 16)
     val expExact = fig8v1.zip(fig8v2).map { case (a, x) => math.pow(a - x, 2) }.sum
-    assert(math.abs(exact - expExact) < 1e-9)
-    assert(b.lower <= exact && exact <= b.upper)
+    assert(math.abs(exact.get - expExact) < 1e-9)
+    assert(b.lower <= exact.get && exact.get <= b.upper)
   }
 
   test("Figure 8 shape: two-segment summaries tighten the bounds") {
@@ -114,7 +114,8 @@ class TrendModelSpec extends AnyFunSuite {
       var lower = 0.0; var upper = 0.0; var exact = 0.0
       for (i <- 0 until s.count) {
         val b = segBound(t1, t2, i, p)
-        val (e, m, _) = exactSegment(t1, t2, i, p)
+        val (score, m, _) = exactScore(t1, t2, Scorer(AggKind.Sum, p), s.lo(i), s.hi(i))
+        val e = score.get
         assert(b.matched == m, s"trial $trial seg $i matched")
         assert(b.lower <= e + 1e-9 && e <= b.upper + 1e-9, s"trial $trial seg $i bounds")
         lower += b.lower; upper += b.upper; exact += e
@@ -128,30 +129,32 @@ class TrendModelSpec extends AnyFunSuite {
     for (trial <- 1 to 50) {
       val keys = (1 to 40).map(_.toString)
       val (d, s) = dictAndSeg(keys, 4)
-      def sparse(seed: Int) =
+      def sparse() =
         keys.filter(_ => rnd.nextDouble() < 0.7).map(k => k -> (rnd.nextDouble() * 20)).toMap
-      val m1 = sparse(trial); val m2 = sparse(trial + 1)
+      val m1 = sparse(); val m2 = sparse()
       if (m1.nonEmpty && m2.nonEmpty) {
         val t1 = mkTrend(0, "a", m1, d, s)
         val t2 = mkTrend(0, "b", m2, d, s)
         for (i <- 0 until s.count) {
           val b = segBound(t1, t2, i, 2)
-          val (e, m, _) = exactSegment(t1, t2, i, 2)
-          assert(b.matched == m)
-          assert(b.lower <= e + 1e-9 && e <= b.upper + 1e-9)
+          val (score, m, _) = exactScore(t1, t2, Scorer(AggKind.Sum, 2), s.lo(i), s.hi(i))
+          val e = score.getOrElse(0.0)
+          assert(b.matched == m, s"trial $trial seg $i matched")
+          assert(b.lower <= e + 1e-9 && e <= b.upper + 1e-9, s"trial $trial seg $i bounds")
         }
       }
     }
   }
 
-  test("exactScore matches the sum of exactSegment contributions for SUM") {
+  test("exactScore matches the sum of its per-segment contributions for SUM") {
     val rnd = new scala.util.Random(23)
     val keys = (1 to 32).map(_.toString)
     val (d, s) = dictAndSeg(keys, 4)
     val t1 = mkTrend(0, "a", keys.map(k => k -> rnd.nextDouble()).toMap, d, s)
     val t2 = mkTrend(0, "b", keys.map(k => k -> rnd.nextDouble()).toMap, d, s)
-    val (full, _) = exactScore(t1, t2, Scorer(AggKind.Sum, 2))
-    val parts = (0 until s.count).map(exactSegment(t1, t2, _, 2)._1).sum
+    val (full, _, _) = exactScore(t1, t2, Scorer(AggKind.Sum, 2))
+    val parts = (0 until s.count)
+      .map(i => exactScore(t1, t2, Scorer(AggKind.Sum, 2), s.lo(i), s.hi(i))._1.get).sum
     assert(math.abs(full.get - parts) < 1e-9)
   }
 
