@@ -8,6 +8,8 @@ import org.apache.spark.sql.catalyst.{FunctionIdentifier, TableIdentifier}
 import org.apache.spark.sql.types.{DataType, StructType}
 import repro.core._
 
+import scala.util.parsing.combinator.RegexParsers
+
 /** SQL surface for COMPARE (§3.1), as a delegating `ParserInterface`.
   *
   * Handles the canonical statement
@@ -24,10 +26,8 @@ import repro.core._
 class CompareSqlParser(delegate: ParserInterface) extends ParserInterface {
 
   /** A COMPARE statement, or else `sqlText` parsed by `orElse`. */
-  private def compareOr(sqlText: String)(orElse: String => LogicalPlan): LogicalPlan = {
-    val t = sqlText.trim
-    if (t.toUpperCase.startsWith("COMPARE ")) CompareStatementParser.parse(t) else orElse(sqlText)
-  }
+  private def compareOr(sqlText: String)(orElse: String => LogicalPlan): LogicalPlan =
+    if (CompareStatementParser.isCompare(sqlText)) CompareStatementParser.parse(sqlText) else orElse(sqlText)
 
   override def parsePlan(sqlText: String): LogicalPlan = compareOr(sqlText)(delegate.parsePlan)
   override def parseQuery(sqlText: String): LogicalPlan = compareOr(sqlText)(delegate.parseQuery)
@@ -41,153 +41,50 @@ class CompareSqlParser(delegate: ParserInterface) extends ParserInterface {
   override def parseDataType(sqlText: String): DataType = delegate.parseDataType(sqlText)
 }
 
-/** Hand-rolled tokenizer + recursive-descent parser for the COMPARE
-  * statement (kept independent of ANTLR so the grammar is auditable next to
-  * the paper's syntax).
+/** The COMPARE statement's grammar, one production per clause of §3.1.
+  * Whitespace (spaces, tabs, newlines) may separate any two tokens; keywords
+  * are case-insensitive; the table name may be qualified (`db.t`).
   */
-object CompareStatementParser {
+object CompareStatementParser extends RegexParsers {
 
-  sealed trait Tok
-  case class Ident(s: String) extends Tok
-  case class Num(s: String) extends Tok
-  case class Str(s: String) extends Tok
-  case class Sym(s: String) extends Tok
+  private def kw(word: String): Parser[String] = s"(?i)$word\\b".r
+  private val ident: Parser[String] = """[\p{L}_][\p{L}\p{Nd}_]*""".r
+  private val posInt: Parser[Int] = """\d+""".r ^? (
+    Function.unlift((s: String) => s.toIntOption.filter(_ >= 1)), s => s"expected a positive integer, got $s")
+  /** A quoted string (`''` escapes a quote) or an unquoted number, kept as written. */
+  private val literal: Parser[String] =
+    """'([^']|'')*'""".r ^^ (s => s.substring(1, s.length - 1).replace("''", "'")) | """\d+(\.\d+)?""".r
+  private val agg: Parser[AggKind] = ident ^? (Function.unlift(AggKind.find), s => s"unknown aggregate $s")
 
-  def tokenize(in: String): Vector[Tok] = {
-    val out = Vector.newBuilder[Tok]
-    var i = 0
-    while (i < in.length) {
-      val c = in(i)
-      if (c.isWhitespace) i += 1
-      else if (in.startsWith("<->", i)) { out += Sym("<->"); i += 3 }
-      else if ("[](),=".contains(c)) { out += Sym(c.toString); i += 1 }
-      else if (c == '\'') {
-        val sb = new StringBuilder
-        i += 1
-        var done = false
-        while (!done) {
-          if (i >= in.length) throw parseError("unterminated string literal")
-          if (in(i) == '\'' && i + 1 < in.length && in(i + 1) == '\'') { sb += '\''; i += 2 }
-          else if (in(i) == '\'') { i += 1; done = true }
-          else { sb += in(i); i += 1 }
-        }
-        out += Str(sb.toString)
-      } else if (c.isDigit) {
-        val start = i
-        while (i < in.length && (in(i).isDigit || in(i) == '.')) i += 1
-        out += Num(in.substring(start, i))
-      } else if (c.isLetter || c == '_') {
-        val start = i
-        while (i < in.length && (in(i).isLetterOrDigit || in(i) == '_' || in(i) == '.')) i += 1
-        out += Ident(in.substring(start, i))
-      } else throw parseError(s"unexpected character '$c' at $i")
-    }
-    out.result()
+  private val table: Parser[Seq[String]] = rep1sep(ident, ".")
+  private val term: Parser[ConstraintTerm] = ident ~ opt("=" ~> literal) ^^ { case a ~ v => ConstraintTerm(a, v) }
+  private val constraint: Parser[Seq[ConstraintTerm]] = rep1sep(term, ",")
+  private val gm: Parser[GroupingMeasure] = ("(" ~> ident <~ ",") ~ agg ~ ("(" ~> ident <~ ")" ~ ")") ^^ {
+    case g ~ a ~ m => GroupingMeasure(g, a, m)
   }
-
-  private def parseError(msg: String) = new IllegalArgumentException(s"COMPARE syntax error: $msg")
-
-  private final class P(toks: Vector[Tok]) {
-    private var pos = 0
-    def peek: Option[Tok] = toks.lift(pos)
-    def next(): Tok = { val t = toks.lift(pos).getOrElse(throw parseError("unexpected end")); pos += 1; t }
-    def expectSym(s: String): Unit = next() match {
-      case Sym(`s`) => ()
-      case other    => throw parseError(s"expected '$s', got $other")
-    }
-    def expectKw(kw: String): Unit = next() match {
-      case Ident(s) if s.equalsIgnoreCase(kw) => ()
-      case other => throw parseError(s"expected keyword $kw, got $other")
-    }
-    def ident(): String = next() match {
-      case Ident(s) => s
-      case other    => throw parseError(s"expected identifier, got $other")
-    }
-    def atKw(kw: String): Boolean = peek.exists { case Ident(s) => s.equalsIgnoreCase(kw); case _ => false }
-    def atSym(s: String): Boolean = peek.contains(Sym(s))
-    def done: Boolean = pos >= toks.size
+  private val scorer: Parser[Scorer] = kw("USING") ~> agg ~ (kw("OVER") ~ kw("DIFF") ~ "(" ~> posInt <~ ")") ^^ {
+    case a ~ p => Scorer(a, p)
   }
+  private val topK: Parser[TopK] = kw("TOP") ~> posInt ~ opt(kw("ASC") ^^^ true | kw("DESC") ^^^ false) ^^ {
+    case k ~ asc => TopK(k, asc.getOrElse(true))
+  }
+  private val statement: Parser[(CompareSpec, Option[TopK], Seq[String])] =
+    kw("COMPARE") ~> kw("TABLE") ~> table ~ ("[" ~> constraint ~ ("<->" ~> constraint) <~ "]") ~
+      ("[" ~> rep1sep(gm, ",") <~ "]") ~ scorer ~ opt(topK) ^^ {
+        case t ~ (c1 ~ c2) ~ gms ~ s ~ k => (CompareSpec(TrendsetSpec(c1, gms), TrendsetSpec(c2, gms), s), k, t)
+      }
+
+  /** Whether `sql` starts with the COMPARE keyword, so is this grammar's to parse. */
+  def isCompare(sql: String): Boolean = parse(kw("COMPARE"), sql).successful
 
   def parse(sql: String): CompareNode = {
     val (spec, topK, table) = parseParts(sql)
-    CompareNode(spec, topK, UnresolvedRelation(Seq(table)))
+    CompareNode(spec, topK, UnresolvedRelation(table))
   }
 
-  /** Parse into (spec, topK, tableName) — also used by tests directly. */
-  def parseParts(sql: String): (CompareSpec, Option[TopK], String) = {
-    val p = new P(tokenize(sql))
-    p.expectKw("COMPARE"); p.expectKw("TABLE")
-    val table = p.ident()
-
-    p.expectSym("[")
-    val c1 = parseConstraint(p)
-    p.expectSym("<->")
-    val c2 = parseConstraint(p)
-    p.expectSym("]")
-
-    p.expectSym("[")
-    val gms = Vector.newBuilder[GroupingMeasure]
-    var more = true
-    while (more) {
-      p.expectSym("(")
-      val g = p.ident()
-      p.expectSym(",")
-      val agg = AggKind.parse(p.ident())
-      p.expectSym("(")
-      val m = p.ident()
-      p.expectSym(")")
-      p.expectSym(")")
-      gms += GroupingMeasure(g, agg, m)
-      if (p.atSym(",")) p.next() else more = false
-    }
-    p.expectSym("]")
-
-    p.expectKw("USING")
-    val scorerAgg = AggKind.parse(p.ident())
-    p.expectKw("OVER"); p.expectKw("DIFF")
-    p.expectSym("(")
-    val pExp = p.next() match {
-      case Num(n) => n.toDouble.toInt
-      case other  => throw parseError(s"expected DIFF exponent, got $other")
-    }
-    p.expectSym(")")
-
-    val topK =
-      if (p.atKw("TOP")) {
-        p.next()
-        val k = p.next() match {
-          case Num(n) => n.toInt
-          case other  => throw parseError(s"expected k after TOP, got $other")
-        }
-        val asc =
-          if (p.atKw("ASC")) { p.next(); true }
-          else if (p.atKw("DESC")) { p.next(); false }
-          else true
-        Some(TopK(k, asc))
-      } else None
-    if (!p.done) throw parseError("trailing tokens")
-
-    val gmList = gms.result()
-    val spec = CompareSpec(TrendsetSpec(c1, gmList), TrendsetSpec(c2, gmList), Scorer(scorerAgg, pExp))
-    (spec, topK, table)
-  }
-
-  private def parseConstraint(p: P): Seq[ConstraintTerm] = {
-    val terms = Vector.newBuilder[ConstraintTerm]
-    var more = true
-    while (more) {
-      val attr = p.ident()
-      if (p.atSym("=")) {
-        p.next()
-        val v = p.next() match {
-          case Str(s) => s
-          case Num(n) => n
-          case other  => throw parseError(s"expected literal after '=', got $other")
-        }
-        terms += ConstraintTerm(attr, Some(v))
-      } else terms += ConstraintTerm(attr, None)
-      if (p.atSym(",")) p.next() else more = false
-    }
-    terms.result()
+  /** Parse into (spec, topK, table name parts) — also used by tests directly. */
+  def parseParts(sql: String): (CompareSpec, Option[TopK], Seq[String]) = parseAll(statement, sql) match {
+    case Success(r, _) => r
+    case f: NoSuccess  => throw new IllegalArgumentException(s"COMPARE syntax error at ${f.next.pos}: ${f.msg}")
   }
 }

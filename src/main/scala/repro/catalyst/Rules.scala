@@ -179,15 +179,13 @@ object ReduceToCompare extends Rule[LogicalPlan] {
     case Aggregate(groupExprs, aggExprs, src, _) if groupExprs.size == 2 && aggExprs.size == 3 =>
       val named = aggExprs.map(_.asInstanceOf[NamedExpression])
       val (keyExprs, valExprs) = named.partition(e => !containsAggExpr(e))
-      if (keyExprs.size != 2 || valExprs.size != 1) return None
-      val keys = keyExprs.map(e => strip(e) match {
-        case a: AttributeReference => Some((e.toAttribute, a.name))
+      // Two plain-column keys among the three expressions leave one value.
+      keyExprs.map(e => (e.toAttribute, strip(e))) match {
+        case Seq((cOut, c: AttributeReference), (gOut, g: AttributeReference)) =>
+          aggOf(valExprs.head).collect { case (agg, m: AttributeReference) =>
+            TrendAgg(cOut, gOut, valExprs.head.toAttribute, c.name, g.name, agg, m.name, src)
+          }
         case _ => None
-      })
-      if (keys.exists(_.isEmpty)) return None
-      val Seq((cOut, cName), (gOut, gName)) = keys.map(_.get)
-      aggOf(valExprs.head).collect { case (agg, m: AttributeReference) =>
-        TrendAgg(cOut, gOut, valExprs.head.toAttribute, cName, gName, agg, m.name, src)
       }
     case _ => None
   }

@@ -185,7 +185,15 @@ object PrunedTopK {
     val threshold =
       if (pairs.size < topK.k) None
       else Some(pairs.map(_.guarantee).sorted[Double](byScore(_, _)).apply(topK.k - 1))
-    def alive(st: PairState): Boolean = threshold.forall(byScore(st.optimistic, _) <= 0)
+    // A pair is pruned only when its optimistic bound is worse than T by more
+    // than a relative slack of 1e-9. Bounds and exact scores are sums added
+    // in different orders, so a pair's computed bound can pass its own
+    // computed score, which may set T: an n-term sum errs by up to
+    // n·ε·Σ|terms|. Every term is a DIFF ≥ 0, so Σ|terms| is the sum itself,
+    // and n·ε stays below 1e-9 up to about 9·10^6 grouping values. Scores are
+    // ≥ 0, so scaling T loosens it, and leaves T = +∞ as it is.
+    val bar = threshold.map(_ * (if (topK.ascending) 1 + 1e-9 else 1 - 1e-9))
+    def alive(st: PairState): Boolean = bar.forall(byScore(st.optimistic, _) <= 0)
     val initiallyAlive = pairs.filter(alive)
     val pairsPrunedInitial = pairsTotal - initiallyAlive.size
 

@@ -18,10 +18,9 @@ object AggKind {
 
   val all: Seq[AggKind] = Seq(Sum, Avg, Min, Max)
 
-  def parse(s: String): AggKind = {
-    val name = s.trim.toUpperCase
-    all.find(_.sql == name).getOrElse(throw new IllegalArgumentException(s"unknown aggregate: $name"))
-  }
+  def find(s: String): Option[AggKind] = all.find(_.sql.equalsIgnoreCase(s.trim))
+  def parse(s: String): AggKind =
+    find(s).getOrElse(throw new IllegalArgumentException(s"unknown aggregate: ${s.trim.toUpperCase}"))
 }
 
 /** One `(grouping, measure)` pair (Definition 3). `grouping` and `measure`

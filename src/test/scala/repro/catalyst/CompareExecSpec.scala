@@ -293,19 +293,34 @@ class CompareExecSpec extends SparkSpec {
     val spec = symCity()
     checkEdge(plusInf, spec, 4 * 3 / 2)
     checkEdge(minusInf, spec, 4 * 3 / 2)
-    // Tied +∞ pairs have no defined order in Spark's sort, so each cut is
-    // compared by its row count and the multiset of its scores.
-    def scores(df: DataFrame): Seq[Double] =
-      df.collect().map(_.getAs[Double]("score")).toSeq.sorted(Ordering.Double.TotalOrdering)
-    for (df <- Seq(plusInf, minusInf, twoInf)) {
-      val basic = BasicExec.run(df, spec)
-      for (k <- 1 to 6; asc <- Seq(true, false); cfg <- phiConfigs) {
-        val hint = s"top $k ${if (asc) "ASC" else "DESC"}, $cfg:"
-        val expect = scores(basic.orderBy(if (asc) col("score").asc else col("score").desc).limit(k))
-        val got = scores(CompareSession.compare(df, spec, Some(TopK(k, asc)), cfg))
-        assert(got.size == expect.size, s"$hint ${got.size} rows vs ${expect.size}")
-        assert(got.zip(expect).forall { case (a, b) => TestUtil.close(a, b) }, s"$hint $got vs $expect")
-      }
+    for (df <- Seq(plusInf, minusInf, twoInf)) checkTopKScores(df, spec, 1 to 6)
+  }
+
+  test("edge: rounding in a constant segment's bounds does not prune the k-th pair") {
+    // Each city's trend is constant, so a segment's lower bound equals its
+    // upper bound, and the rounded average (0.1 × 3 / 3 > 0.1) can put the
+    // computed lower bound above the upper one.
+    for ((values, weeks) <- Seq((Seq("A" -> 0.1, "B" -> 0.0, "C" -> 5.0), 9),
+                                (Seq("A" -> 9.99, "B" -> 4.99, "C" -> 0.0), 30))) {
+      val df = edgeDf(for ((city, v) <- values; week <- 1 to weeks) yield Row(city, "P0", week, v))
+      checkTopKScores(df, symCity(), 1 to 3)
+    }
+  }
+
+  /** Φp's top k under every config against the basic plan ordered and
+    * limited. Tied pairs have no defined order in Spark's sort, so each cut
+    * is compared by its row count and the multiset of its scores.
+    */
+  private def checkTopKScores(df: DataFrame, spec: CompareSpec, ks: Range): Unit = {
+    def scores(d: DataFrame): Seq[Double] =
+      d.collect().map(_.getAs[Double]("score")).toSeq.sorted(Ordering.Double.TotalOrdering)
+    val basic = BasicExec.run(df, spec)
+    for (k <- ks; asc <- Seq(true, false); cfg <- phiConfigs) {
+      val hint = s"top $k ${if (asc) "ASC" else "DESC"}, $cfg:"
+      val expect = scores(basic.orderBy(if (asc) col("score").asc else col("score").desc).limit(k))
+      val got = scores(CompareSession.compare(df, spec, Some(TopK(k, asc)), cfg))
+      assert(got.size == expect.size, s"$hint ${got.size} rows vs ${expect.size}")
+      assert(got.zip(expect).forall { case (a, b) => TestUtil.close(a, b) }, s"$hint $got vs $expect")
     }
   }
 

@@ -1,8 +1,13 @@
 package repro.catalyst
 
 import org.apache.spark.sql.ReproBridge
+import org.scalacheck.rng.Seed
+import org.scalacheck.util.Pretty
+import org.scalacheck.{Gen, Prop, Test}
 import repro.core._
 import repro.{SparkSpec, TestData, TestUtil}
+
+import scala.util.Random
 
 /** The COMPARE SQL surface (§3.1): statement parsing and end-to-end
   * execution of parsed plans.
@@ -16,7 +21,7 @@ class ParserSpec extends SparkSpec {
     val (spec, topK, table) = parseParts(
       "COMPARE TABLE sales [region='Asia' <-> region='Asia', product]" +
         " [(week, AVG(revenue))] USING SUM OVER DIFF(2)")
-    assert(table == "sales")
+    assert(table == Seq("sales"))
     assert(spec.t1.constraint == Seq(ConstraintTerm("region", Some("Asia"))))
     assert(spec.t2.constraint ==
       Seq(ConstraintTerm("region", Some("Asia")), ConstraintTerm("product", None)))
@@ -73,14 +78,74 @@ class ParserSpec extends SparkSpec {
       "COMPARE TABLE t [a <-> a] [(g, AVG(m))] USING SUM OVER DIFF()", // missing p
       "COMPARE TABLE t [a <-> a] [(g, MEDIAN(m))] USING SUM OVER DIFF(2)", // bad agg
       "COMPARE TABLE t [a <-> a] [(g, AVG(m))] USING SUM OVER DIFF(2) garbage",
-      "COMPARE TABLE t [a='unterminated <-> a] [(g, AVG(m))] USING SUM OVER DIFF(2)")
+      "COMPARE TABLE t [a='unterminated <-> a] [(g, AVG(m))] USING SUM OVER DIFF(2)",
+      "COMPARE TABLE t [a <-> a] [(g, AVG(m))] USING SUM OVER DIFF(2.5)", // p must be an integer
+      "COMPARE TABLE t [a = 1.2.3 <-> a] [(g, AVG(m))] USING SUM OVER DIFF(2)")
     bad.foreach(s => assertThrows[IllegalArgumentException](parseParts(s)))
   }
 
-  test("tokenizer handles the <-> arrow and brackets") {
-    import CompareStatementParser._
-    val toks = tokenize("[a <-> b]")
-    assert(toks == Vector(Sym("["), Ident("a"), Sym("<->"), Ident("b"), Sym("]")))
+  test("round trip: any spacing and keyword case of a statement parses back to it") {
+    val names = Seq("a", "city", "Week_2", "_x", "top", "Using", "diff", "ünï")
+    val name = Gen.oneOf(names)
+    val value = Gen.oneOf(Gen.const(""), Gen.const("'"), Gen.numStr, Gen.const("3.25"),
+      Gen.const("O'Hare, <-> ]"), Gen.alphaNumStr.map(_.take(5)))
+    val side = for {
+      n <- Gen.choose(1, 3)
+      attrs <- Gen.pick(n, names)
+      values <- Gen.listOfN(n, Gen.option(value))
+    } yield attrs.toSeq.zip(values).map { case (a, v) => ConstraintTerm(a, v) }
+    val gm = for (g <- name; agg <- Gen.oneOf(AggKind.all); m <- name) yield GroupingMeasure(g, agg, m)
+    val statement = for {
+      table <- Gen.choose(1, 2).flatMap(Gen.listOfN(_, name))
+      c1 <- side; c2 <- side
+      gms <- Gen.choose(1, 4).flatMap(Gen.listOfN(_, gm))
+      scorer <- Gen.zip(Gen.oneOf(AggKind.all), Gen.choose(1, 4)).map((Scorer.apply _).tupled)
+      topK <- Gen.option(Gen.zip(Gen.choose(1, 50), Gen.oneOf(true, false)).map((TopK.apply _).tupled))
+      renderSeed <- Gen.long
+    } yield ((CompareSpec(TrendsetSpec(c1, gms), TrendsetSpec(c2, gms), scorer), topK, table), renderSeed)
+
+    val prop = Prop.forAllNoShrink(statement) { case (parts, renderSeed) =>
+      val sql = render(parts, new Random(renderSeed))
+      Prop(parseParts(sql) == parts) :| sql
+    }
+    val result = Test.check(Test.Parameters.default.withInitialSeed(Seed(11L))
+      .withMinSuccessfulTests(2000), prop)
+    assert(result.passed, Pretty.pretty(result))
+  }
+
+  /** `parts` as COMPARE text: keywords in random case; between two tokens a
+    * space, tab or newline, or, next to a bracket, comma or operator, none.
+    */
+  private def render(parts: (CompareSpec, Option[TopK], Seq[String]), rnd: Random): String = {
+    val (spec, topK, table) = parts
+    def kw(w: String) = w.map(c => if (rnd.nextBoolean()) c.toLower else c)
+    def cons(ts: TrendsetSpec) = ts.constraint.zipWithIndex.flatMap { case (ConstraintTerm(a, v), i) =>
+      (if (i > 0) Seq(",") else Nil) ++ Seq(a) ++ v.toSeq.flatMap { s =>
+        val bare = s.matches("""\d+(\.\d+)?""") && rnd.nextBoolean()
+        Seq("=", if (bare) s else "'" + s.replace("'", "''") + "'")
+      }
+    }
+    val gms = spec.t1.gms.zipWithIndex.flatMap { case (GroupingMeasure(g, agg, m), i) =>
+      (if (i > 0) Seq(",") else Nil) ++ Seq("(", g, ",", kw(agg.sql), "(", m, ")", ")")
+    }
+    val top = topK.toSeq.flatMap { case TopK(k, asc) =>
+      Seq(kw("TOP"), k.toString) ++ (if (!asc) Seq(kw("DESC")) else if (rnd.nextBoolean()) Seq(kw("ASC")) else Nil)
+    }
+    val tokens = Seq(kw("COMPARE"), kw("TABLE"), table.mkString("."), "[") ++ cons(spec.t1) ++
+      Seq("<->") ++ cons(spec.t2) ++ Seq("]", "[") ++ gms ++ Seq("]", kw("USING"), kw(spec.scorer.agg.sql),
+        kw("OVER"), kw("DIFF"), "(", spec.scorer.p.toString, ")") ++ top
+    val spaces = Seq(" ", "\t", "\n", " \n\t ")
+    def space(needed: Boolean) = if (needed || rnd.nextBoolean()) spaces(rnd.nextInt(spaces.size)) else ""
+    val word = (c: Char) => c.isLetterOrDigit || c == '_' || c == '\''
+    tokens.zip(tokens.tail).map { case (a, b) => space(word(a.last) && word(b.head)) + b }
+      .mkString(space(false) + tokens.head, "", space(false))
+  }
+
+  test("a statement may span lines and name a global temporary view") {
+    sales.createOrReplaceGlobalTempView("sales_g")
+    val df = spark.sql("COMPARE\n\tTABLE global_temp.sales_g\n  [city <-> city]\n\t[(week, AVG(revenue))]\n" +
+      "  USING SUM OVER DIFF(2)\n")
+    TestUtil.assertSameResult(df, BasicExec.run(sales, Specs.symCities()))
   }
 
   test("delegating parser passes ordinary SQL through") {
