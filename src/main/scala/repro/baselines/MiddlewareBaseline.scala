@@ -3,6 +3,7 @@ package repro.baselines
 import org.apache.spark.sql.{DataFrame, ReproBridge}
 import repro.catalyst.TrendAggregation
 import repro.core._
+import repro.core.TrendModel.TrendBuilder
 
 /** Middleware execution model simulation (§8's MIDDLEWARE baseline —
   * Zenvisage/Seedb style).
@@ -17,7 +18,7 @@ import repro.core._
   * Each query is the operator's trend aggregate over one (g, m) of one
   * constraint template. The network is simulated by Java-serializing its rows
   * and pacing the transfer at `bandwidthMBps` (sleeping the residual time);
-  * the client assembles trends from the rows it received. Bandwidth is a
+  * the client builds trends from the rows it received. Bandwidth is a
   * parameter; benches document the value used.
   */
 object MiddlewareBaseline {
@@ -28,19 +29,21 @@ object MiddlewareBaseline {
   def topK(df: DataFrame, spec: CompareSpec, k: TopK,
            bandwidthMBps: Double = 50.0): Result = {
     // One aggregate query per (g, m) and template — issued separately, like a
-    // visualization tool fetching each chart's data.
-    val fetched = TrendAggregation.members(spec).map { member =>
+    // visualization tool fetching each chart's data. The client decodes every
+    // query's rows into one builder, so each grouping column has one dictionary.
+    val trends = new TrendBuilder(spec, None)
+    val totalBytes = TrendAggregation.members(spec).map { member =>
       val agg = new TrendAggregation(spec, Seq(member))
       val (rows, bytes) = UdfBaseline.roundTrip(ReproBridge.executeCollect(agg.over(df)))
-      val (t1, t2) = agg.trends(rows)
-      (t1, t2, bytes)
-    }
-    val totalBytes = fetched.map(_._3).sum
+      agg.decode(rows, trends)
+      bytes
+    }.sum
     val transferSeconds = totalBytes / (bandwidthMBps * 1e6)
     // Pace the simulated link (capped so accidental large payloads cannot
     // stall a bench run indefinitely).
     Thread.sleep(math.min(transferSeconds * 1000, 120000L).toLong)
-    val res = PrunedTopK.run(spec, fetched.flatMap(_._1), fetched.flatMap(_._2), k)
+    val (side1, side2) = trends.result()
+    val res = PrunedTopK.search(spec, side1, side2, k)
     Result(res.pairs, res.stats, totalBytes, transferSeconds)
   }
 }

@@ -10,14 +10,15 @@ import repro.core._
   *
   * The paper's UDF takes the UNION of all group-by aggregates (computed via
   * GROUPING SETS) and compares trends inside the database process, with two
-  * structural handicaps the paper calls out: every aggregate row is
-  * marshalled into the UDF invocation, and the UDF body runs sequentially
-  * with limited resources. We reproduce both: Spark computes the union of
-  * all group-by aggregates in one pass ([[TrendCollector]] — the GROUPING
-  * SETS input), all rows pass through Java serialization (the marshalling
-  * analogue), and the comparison runs single-threaded on the driver. The
-  * comparison itself *does* use trendwise processing and segment-aggregate
-  * pruning, as in the paper.
+  * structural handicaps the paper calls out: its input is marshalled into
+  * the UDF invocation, and the UDF body runs sequentially with limited
+  * resources. We reproduce both: Spark computes the union of all group-by
+  * aggregates in one pass ([[TrendCollector]] — the GROUPING SETS input),
+  * both sides' [[TrendRow]] lists pass through Java serialization (the
+  * marshalling analogue; a symmetric spec's trends are in both lists, so
+  * they are marshalled twice), and the comparison runs single-threaded on
+  * the driver. The comparison itself *does* use trendwise processing and
+  * segment-aggregate pruning, as in the paper.
   */
 object UdfBaseline {
 
@@ -27,7 +28,7 @@ object UdfBaseline {
   def topK(df: DataFrame, spec: CompareSpec, k: TopK): Result = {
     // Aggregate input (the GROUPING SETS union) computed by the engine.
     val (t1, t2) = TrendCollector.collect(df, spec)
-    // Marshal the whole aggregate input through serialization, as a UDF
+    // Marshal both sides' trend lists through serialization, as a UDF
     // invocation would.
     val (t1m, b1) = roundTrip(t1.toList)
     val (t2m, b2) = roundTrip(t2.toList)

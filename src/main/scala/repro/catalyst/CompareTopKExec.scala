@@ -9,13 +9,17 @@ import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
 import org.apache.spark.sql.execution.metric.{SQLMetric, SQLMetrics}
 import org.apache.spark.unsafe.types.UTF8String
 import repro.core._
+import repro.core.TrendModel.TrendBuilder
 
 /** The COMPARE physical operator Φp (§5.3) as a Spark `UnaryExecNode`.
   *
   * It collects its child, the trend aggregate of [[TrendAggregation]],
-  * assembles the trends on the driver and hands them to [[PrunedTopK]]: with
-  * a fused top-k the summarize→bound→prune + early-termination algorithm
-  * runs as `cfg` configures it; without one all pairs are scored trendwise.
+  * builds the trends on the driver ([[repro.core.TrendModel.TrendBuilder]])
+  * and hands them to [[PrunedTopK]]: with a fused top-k the bound→prune +
+  * early-termination algorithm runs as `cfg` configures it; without one all
+  * pairs are scored trendwise. Its metrics time the three phases
+  * (`collectTime`, `trendTime`, `phiTime`); under adaptive execution the
+  * aggregate's shuffle map stage runs before `collectTime` starts.
   * `executeCollect` returns the result rows directly, so a COMPARE query is
   * one Spark job.
   */
@@ -40,19 +44,26 @@ case class CompareTopKExec(
     "segments" -> SQLMetrics.createMetric(sparkContext, "segments processed"),
     "tuplesCompared" -> SQLMetrics.createMetric(sparkContext, "tuples compared"),
     "summarySize" -> SQLMetrics.createSizeMetric(sparkContext, "segment summary size"),
-    "phiTime" -> SQLMetrics.createTimingMetric(sparkContext, "time in Φp"))
+    "collectTime" -> SQLMetrics.createTimingMetric(sparkContext, "time to collect the trend aggregate"),
+    "trendTime" -> SQLMetrics.createTimingMetric(sparkContext, "time to build trends"),
+    "phiTime" -> SQLMetrics.createTimingMetric(sparkContext, "time in Φp's bound, prune and search"))
 
   private def result(): Array[InternalRow] = {
-    val (t1Rows, t2Rows) = new TrendAggregation(spec).trends(child.executeCollect())
-
     val t0 = System.nanoTime()
-    val res = topK.fold(PrunedTopK.run(spec, t1Rows, t2Rows, TopK(Int.MaxValue, ascending = true),
-      cfg.copy(usePruning = false)))(PrunedTopK.run(spec, t1Rows, t2Rows, _, cfg))
+    val rows = child.executeCollect()
+    val t1 = System.nanoTime()
+    val trends = new TrendAggregation(spec).decode(rows, new TrendBuilder(spec, cfg.numSegments))
+    val (side1, side2) = trends.result()
+    val t2 = System.nanoTime()
+    val res = topK.fold(PrunedTopK.search(spec, side1, side2, TopK(Int.MaxValue, ascending = true),
+      cfg.copy(usePruning = false)))(PrunedTopK.search(spec, side1, side2, _, cfg))
+    val t3 = System.nanoTime()
     val st = res.stats
     Seq("trends" -> st.trendCount, "pairs" -> st.pairsTotal,
       "pairsPrunedInitial" -> st.pairsPrunedInitial, "pairsPrunedSearch" -> st.pairsPrunedSearch,
       "segments" -> st.segmentsProcessed, "tuplesCompared" -> st.tuplesCompared,
-      "summarySize" -> st.summaryBytes, "phiTime" -> (System.nanoTime() - t0) / 1000000L)
+      "summarySize" -> st.summaryBytes, "collectTime" -> (t1 - t0) / 1000000L,
+      "trendTime" -> (t2 - t1) / 1000000L, "phiTime" -> (t3 - t2) / 1000000L)
       .foreach { case (name, v) => metrics(name).set(v) }
     SQLMetrics.postDriverMetricUpdates(sparkContext,
       sparkContext.getLocalProperty(SQLExecution.EXECUTION_ID_KEY), metrics.values.toSeq)

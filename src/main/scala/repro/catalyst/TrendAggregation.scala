@@ -1,7 +1,6 @@
 package repro.catalyst
 
 import scala.collection.immutable.VectorMap
-import scala.collection.mutable
 
 import org.apache.spark.sql.{DataFrame, ReproBridge}
 import org.apache.spark.sql.functions.{col, lit}
@@ -12,6 +11,7 @@ import org.apache.spark.sql.catalyst.plans.logical.{Aggregate, Expand, Filter, L
 import org.apache.spark.sql.internal.SQLConf
 import org.apache.spark.sql.types.{BooleanType, DataType, DoubleType, IntegerType, StringType}
 import repro.core._
+import repro.core.TrendModel.{SegTrend, TrendBuilder}
 
 /** Side `side`'s grouping set on column `grouping`; `members` index its (g, m)s. */
 private final case class GroupingSet(side: Int, grouping: String, members: Seq[Int])
@@ -33,7 +33,7 @@ private final case class GroupingSet(side: Int, grouping: String, members: Seq[I
   * grouping value fills `g`, so every NULL in a key is a real NULL and
   * `grouping_id` names the set; `v_j` carries its measure only in the sets
   * of its (g, m). The layout depends on the spec and `members` alone: [[plan]]
-  * builds the aggregate, and [[trends]] and [[trendRel]] read its rows.
+  * builds the aggregate, and [[decode]] and [[trendRel]] read its rows.
   *
   * `members` are the (trendset, (g, m))s to aggregate: by default the
   * comparable ones of the spec; the merged-aggregate ablation stage
@@ -44,8 +44,6 @@ private[repro] final class TrendAggregation(spec: CompareSpec,
 
   def this(spec: CompareSpec) = this(spec, TrendAggregation.members(spec))
 
-  private val used1 = spec.comparableGmPairs.map(_._1).distinct
-  private val used2 = spec.comparableGmPairs.map(_._2).distinct
   private val templates = members.map(_._1.constraint).distinct
   private def sideOf(ts: TrendsetSpec): Int = templates.indexOf(ts.constraint)
 
@@ -109,35 +107,28 @@ private[repro] final class TrendAggregation(spec: CompareSpec,
     Aggregate(groupBy, groupBy ++ aggs, input, None)
   }
 
-  /** Both sides' trends from the aggregate's output rows. A NULL grouping
-    * value belongs to no trend; a NULL aggregate (every measure NULL) is no
-    * point of its trend.
+  /** The aggregate's output rows as trend points into `into`, which it
+    * returns. A NULL grouping value belongs to no trend; a NULL aggregate
+    * (every measure NULL) is no point of its trend.
     */
-  def trends(rows: Array[InternalRow]): (Seq[TrendRow], Seq[TrendRow]) = {
-    val points = mutable.HashMap.empty[(Int, GroupingMeasure, Seq[String]), mutable.HashMap[String, Double]]
+  def decode(rows: Array[InternalRow], into: TrendBuilder): TrendBuilder = {
+    val ids = sets.map(set => set.members.map(j => into.member(templates(set.side), gms(j))))
     val gOrd = 1 + nC
     rows.foreach { row =>
-      val set = sets(row.getInt(0))
+      val set = row.getInt(0)
       if (!row.isNullAt(gOrd)) {
         val g = row.getUTF8String(gOrd).toString
         var free = 0
-        val c = templates(set.side).map {
-          case ConstraintTerm(_, Some(v)) => v
-          case _ =>
-            free += 1
-            if (row.isNullAt(free)) null else row.getUTF8String(free).toString
-        }
-        set.members.foreach { j =>
-          val ord = gOrd + 1 + j
-          if (!row.isNullAt(ord))
-            points.getOrElseUpdate((set.side, gms(j), c), mutable.HashMap.empty)(g) = row.getDouble(ord)
+        val c = templates(sets(set).side).map(_.value.getOrElse {
+          free += 1
+          if (row.isNullAt(free)) null else row.getUTF8String(free).toString
+        })
+        sets(set).members.lazyZip(ids(set)).foreach { (j, id) =>
+          if (!row.isNullAt(gOrd + 1 + j)) into.add(id, c, g, row.getDouble(gOrd + 1 + j))
         }
       }
     }
-    val byGm = points.toSeq.groupMap { case ((s, gm, _), _) => (s, gm) } { case ((_, _, c), d) => (c, d.toMap) }
-    def rowsOf(ts: TrendsetSpec, used: Seq[Int]): Seq[TrendRow] =
-      used.flatMap(i => byGm.getOrElse((sideOf(ts), ts.gms(i)), Nil).map { case (c, d) => TrendRow(i, c, d) })
-    (rowsOf(spec.t1, used1), rowsOf(spec.t2, used2))
+    into
   }
 
   /** The aggregate over `df`'s rows. */
@@ -175,15 +166,19 @@ private[repro] object TrendAggregation {
       .distinctBy { case (ts, gm) => (ts.constraint, gm) }
 }
 
-/** [[CompareTopKExec]]'s trend aggregate run through the Dataset API, for
-  * the UDF baseline, whose driver-side copy of the trends is what it models.
+/** [[CompareTopKExec]]'s trend aggregate run through the Dataset API, its
+  * trends handed off as [[TrendRow]]s: what the UDF baseline marshals.
   */
 object TrendCollector {
   def collect(df: DataFrame, spec: CompareSpec): (Seq[TrendRow], Seq[TrendRow]) =
     if (spec.comparableGmPairs.isEmpty) (Nil, Nil) // no trend to build, as in CompareStrategy
     else {
       val agg = new TrendAggregation(spec)
-      agg.trends(ReproBridge.executeCollect(agg.over(df)))
+      val rows = ReproBridge.executeCollect(agg.over(df))
+      val (side1, side2) = agg.decode(rows, new TrendBuilder(spec, None)).result()
+      def handOff(side: Seq[SegTrend]) = side.map(t =>
+        TrendRow(t.gm, t.c, t.codes.indices.map(k => t.dict.values(t.codes(k)) -> t.values(k)).toMap))
+      (handOff(side1), handOff(side2))
     }
 }
 

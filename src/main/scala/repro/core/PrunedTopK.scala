@@ -3,10 +3,10 @@ package repro.core
 import scala.collection.mutable
 import TrendModel._
 
-/** The DIFF-specialized top-k operator Φp (§5, Algorithm 2):
-  * summarize → bound → prune, then priority-queue early termination that
-  * refines one segment at a time, switching to whichever pair currently has
-  * the best optimistic bound.
+/** The DIFF-specialized top-k operator Φp (§5, Algorithm 2): summarize
+  * ([[TrendBuilder]]) → bound → prune, then priority-queue early termination
+  * that refines one segment at a time, switching to whichever pair currently
+  * has the best optimistic bound.
   *
   * Supports both search directions: `ascending = true` finds the k most
   * similar pairs (smallest scores; prune when a pair's lower bound exceeds
@@ -19,7 +19,8 @@ object PrunedTopK {
 
   /** Knobs exposed for the §8.3 sweeps and the §8.1 ablation.
     *
-    * @param numSegments          override Sturges' choice (Figure 11 sweep)
+    * @param numSegments          override Sturges' choice (Figure 11 sweep;
+    *                             read by the trend builder)
     * @param usePruning           disable summarize→bound→prune (ablation)
     * @param useEarlyTermination  disable the PQ segment-at-a-time refinement
     *                             (ablation: survivors are scored exactly)
@@ -46,28 +47,27 @@ object PrunedTopK {
 
   final case class Result(pairs: Seq[ScoredPair], stats: PruneStats)
 
-  /** Run top-k selection over the collected trends of both sides. */
+  /** Top-k selection over both sides' collected [[TrendRow]]s. Callers pass
+    * a symmetric spec's trends once per side, so side 2's rows of a member
+    * that side 1 has are not built again.
+    */
   def run(spec: CompareSpec, trends1: Seq[TrendRow], trends2: Seq[TrendRow],
           topK: TopK, cfg: Config = Config()): Result = {
+    val b = new TrendBuilder(spec, cfg.numSegments)
+    def tagged(ts: TrendsetSpec, rows: Seq[TrendRow]) =
+      rows.map(r => (b.member(ts.constraint, ts.gms(r.gm)), r))
+    val (rows1, rows2) = (tagged(spec.t1, trends1), tagged(spec.t2, trends2))
+    val fed = rows1.map(_._1).toSet
+    for ((id, r) <- rows1 ++ rows2.filterNot(x => fed(x._1)); (g, v) <- r.data) b.add(id, r.c, g, v)
+    val (side1, side2) = b.result()
+    search(spec, side1, side2, topK, cfg)
+  }
 
-    // --- Summarize: shared dictionary + segmentation per grouping column ---
-    val gmGrouping1 = spec.t1.gms.map(_.grouping)
-    val gmGrouping2 = spec.t2.gms.map(_.grouping)
-    val dictKeys = mutable.Map.empty[String, mutable.Set[String]]
-    trends1.foreach(t => dictKeys.getOrElseUpdate(gmGrouping1(t.gm), mutable.Set.empty) ++= t.data.keys)
-    trends2.foreach(t => dictKeys.getOrElseUpdate(gmGrouping2(t.gm), mutable.Set.empty) ++= t.data.keys)
-    val dicts = dictKeys.map { case (g, ks) => g -> GroupingDict.build(ks) }.toMap
-    val segmentations = dicts.map { case (g, d) =>
-      g -> new Segmentation(d.size, cfg.numSegments.getOrElse(sturges(d.size)))
-    }
-
-    def summarize(ts: TrendsetSpec, rows: Seq[TrendRow]): Seq[SegTrend] =
-      rows.map { r =>
-        val g = ts.gms(r.gm).grouping
-        buildTrend(r, dicts(g), segmentations(g))
-      }
-    val side1 = summarize(spec.t1, trends1)
-    val side2 = summarize(spec.t2, trends2)
+  /** Top-k selection over both sides' summarized trends, which
+    * [[TrendBuilder]] built with `cfg.numSegments`: bound → prune → search.
+    */
+  def search(spec: CompareSpec, side1: Seq[SegTrend], side2: Seq[SegTrend],
+             topK: TopK, cfg: Config = Config()): Result = {
     val trendCount = (side1.size + side2.size).toLong
     val summaryDoubles = (side1 ++ side2).map(_.segs.length.toLong * 4).sum
 

@@ -2,6 +2,8 @@ package repro.core
 
 import java.util.BitSet
 
+import scala.collection.mutable
+
 import org.apache.spark.unsafe.types.UTF8String
 
 /** Data structures of the Φp pruning operator (§5.1): the grouping-value
@@ -30,9 +32,11 @@ object TrendModel {
   object GroupingDict {
     def build(vals: Iterable[String]): GroupingDict = {
       val distinct = vals.toArray.distinct
-      val allNumeric = distinct.forall(v => v.nonEmpty && numericValue(v).isDefined)
+      // Each value is parsed once, up to the first one that is no number.
+      val nums = distinct.iterator.map(v => if (v.isEmpty) None else numericValue(v))
+        .takeWhile(_.isDefined).map(_.get).toArray
       val sorted =
-        if (allNumeric) distinct.sortBy(v => numericValue(v).get)
+        if (nums.length == distinct.length) distinct.zip(nums).sortBy(_._2).map(_._1)
         else distinct.sorted
       new GroupingDict(sorted)
     }
@@ -54,7 +58,8 @@ object TrendModel {
   }
 
   /** A summarized trend: tuples as (dictionary code, value) sorted by code,
-    * segment aggregates, and the grouping bitmap.
+    * segment aggregates, and the grouping bitmap. `gm` indexes its side's
+    * (g, m)s; the two sides of one trend share everything else.
     */
   final class SegTrend(
       val gm: Int,
@@ -63,7 +68,8 @@ object TrendModel {
       val values: Array[Double],
       val segs: Array[SegAgg],
       val bitmap: BitSet,
-      val seg: Segmentation) {
+      val seg: Segmentation,
+      val dict: GroupingDict) {
     val n: Int = codes.length
     /** Dense = one tuple for every dictionary value (the common OLAP case). */
     val dense: Boolean = n == seg.domain
@@ -71,28 +77,84 @@ object TrendModel {
     val hasNonFinite: Boolean = values.exists(v => !java.lang.Double.isFinite(v))
     /** The constraint values as [[PairRule.compare]] orders them. */
     lazy val key: Array[UTF8String] = c.iterator.map(UTF8String.fromString).toArray
+    def withGm(i: Int): SegTrend =
+      if (i == gm) this else new SegTrend(i, c, codes, values, segs, bitmap, seg, dict)
   }
 
-  def buildTrend(row: TrendRow, dict: GroupingDict, seg: Segmentation): SegTrend = {
-    val pairs = row.data.toArray.map { case (g, v) => (dict.index(g), v) }.sortBy(_._1)
-    val codes = pairs.map(_._1)
-    val values = pairs.map(_._2)
-    val bitmap = new BitSet(dict.size)
-    codes.foreach(bitmap.set)
-    val segs = Array.tabulate(seg.count) { s =>
-      var i = lowerBoundArr(codes, seg.lo(s))
-      var cnt = 0; var sum = 0.0
-      var mn = Double.PositiveInfinity; var mx = Double.NegativeInfinity
-      val hi = seg.hi(s)
-      while (i < codes.length && codes(i) < hi) {
-        cnt += 1; sum += values(i)
-        if (values(i) < mn) mn = values(i)
-        if (values(i) > mx) mx = values(i)
-        i += 1
-      }
-      if (cnt == 0) SegAgg(0, 0.0, 0.0, 0.0) else SegAgg(cnt, sum, mn, mx)
+  /** Φp's one trend builder (§5.1): trend points in, both sides' summarized
+    * trends out. A point is one value of trend `c` of a [[member]] (constraint
+    * template, (g, m)) at grouping value `g`, at most one per value. Each
+    * grouping column gets one dictionary, over exactly the values that carry
+    * a point, and one [[Segmentation]] (`numSegments`, or Sturges'). Each
+    * trend is summarized once: the sides of a symmetric spec share theirs.
+    */
+  final class TrendBuilder(spec: CompareSpec, numSegments: Option[Int]) {
+    private val groupings = spec.groupingColumns
+    private val members = (for (t <- Seq(spec.t1.constraint, spec.t2.constraint).distinct;
+                                gm <- (spec.t1.gms ++ spec.t2.gms).distinct) yield (t, gm)).toArray
+    private val column = members.map(m => groupings.indexOf(m._2.grouping))
+    /** Per grouping column: value → its code in first-seen order. */
+    private val seen = groupings.map(_ => mutable.LinkedHashMap.empty[String, Int]).toArray
+    /** Per member: constraint values → that trend's points. */
+    private val trends = members.map(_ => mutable.LinkedHashMap.empty[Seq[String], Points])
+
+    def member(template: Seq[ConstraintTerm], gm: GroupingMeasure): Int =
+      members.indexOf((template, gm)).ensuring(_ >= 0, s"($template, $gm) is not in $spec")
+
+    def add(member: Int, c: Seq[String], g: String, v: Double): Unit = {
+      val codes = seen(column(member))
+      trends(member).getOrElseUpdate(c, new Points).add(codes.getOrElseUpdate(g, codes.size), v)
     }
-    new SegTrend(row.gm, row.c, codes, values, segs, bitmap, seg)
+
+    def result(): (Seq[SegTrend], Seq[SegTrend]) = {
+      val dicts = seen.map(s => GroupingDict.build(s.keys))
+      val recode = dicts.lazyZip(seen).map((d, s) => s.keysIterator.map(d.index).toArray)
+      val segs = dicts.map(d => new Segmentation(d.size, numSegments.getOrElse(sturges(d.size))))
+      val summarized = mutable.HashMap.empty[Int, Seq[SegTrend]]
+      def side(ts: TrendsetSpec, used: Seq[Int]): Seq[SegTrend] = used.flatMap { i =>
+        val m = member(ts.constraint, ts.gms(i)); val col = column(m)
+        summarized.getOrElseUpdate(m, trends(m).toSeq.map { case (c, ps) =>
+          ps.summarize(i, c, recode(col), dicts(col), segs(col))
+        }).map(_.withGm(i))
+      }
+      (side(spec.t1, spec.comparableGmPairs.map(_._1).distinct),
+        side(spec.t2, spec.comparableGmPairs.map(_._2).distinct))
+    }
+  }
+
+  /** One trend's points in arrival order, coded in first-seen order. */
+  private final class Points {
+    private val firstSeen = new mutable.ArrayBuilder.ofInt
+    private val arrived = new mutable.ArrayBuilder.ofDouble
+    def add(code: Int, v: Double): Unit = { firstSeen += code; arrived += v }
+
+    /** The points sorted by dictionary code (`recode` of the first-seen
+      * one), with segment aggregates and bitmap.
+      */
+    def summarize(gm: Int, c: Seq[String], recode: Array[Int],
+                  dict: GroupingDict, seg: Segmentation): SegTrend = {
+      val (first, vs) = (firstSeen.result(), arrived.result())
+      val order = Array.tabulate(first.length)(k => recode(first(k)).toLong << 32 | k)
+      java.util.Arrays.sort(order)
+      val codes = order.map(o => (o >>> 32).toInt)
+      val values = order.map(o => vs(o.toInt))
+      val bitmap = new BitSet(dict.size)
+      codes.foreach(bitmap.set)
+      val segs = Array.tabulate(seg.count) { s =>
+        var i = lowerBoundArr(codes, seg.lo(s))
+        var cnt = 0; var sum = 0.0
+        var mn = Double.PositiveInfinity; var mx = Double.NegativeInfinity
+        val hi = seg.hi(s)
+        while (i < codes.length && codes(i) < hi) {
+          cnt += 1; sum += values(i)
+          if (values(i) < mn) mn = values(i)
+          if (values(i) > mx) mx = values(i)
+          i += 1
+        }
+        if (cnt == 0) SegAgg(0, 0.0, 0.0, 0.0) else SegAgg(cnt, sum, mn, mx)
+      }
+      new SegTrend(gm, c, codes, values, segs, bitmap, seg, dict)
+    }
   }
 
   /** First index of sorted `codes` at or after dictionary code `code`. */

@@ -172,6 +172,8 @@ final case class CompareSpec(t1: TrendsetSpec, t2: TrendsetSpec, scorer: Scorer)
 final case class ScoredPair(c1: Seq[String], c2: Seq[String], gm1: Int, gm2: Int, score: Double)
 
 /** A collected trend: its (g, m) index, constraint values, and the
-  * grouping-value → aggregated-measure map (§2.2.1's `(c)(g, m)`).
+  * grouping-value → aggregated-measure map (§2.2.1's `(c)(g, m)`). Only the
+  * hand-off of `TrendCollector.collect` and `PrunedTopK.run` (cmpbench's
+  * traced mode, the UDF baseline); the operator builds `SegTrend`s directly.
   */
 final case class TrendRow(gm: Int, c: Seq[String], data: Map[String, Double])

@@ -10,6 +10,8 @@ import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.types._
 import repro.baselines.{MiddlewareBaseline, UdfBaseline}
 import repro.core._
+import repro.flight.FlightData
+import repro.workload.Workloads
 import repro.{SparkSpec, TestData, TestUtil}
 
 /** The Catalyst path — CompareNode → CompareStrategy → CompareTopKExec —
@@ -76,6 +78,7 @@ class CompareExecSpec extends SparkSpec {
     assert(metrics.get("trends").value == 16)
     assert(metrics.get("pairs").value == 8 * 7 / 2)
     assert(metrics.get("tuplesCompared").value > 0)
+    assert(metrics.get.contains("collectTime") && metrics.get.contains("trendTime"))
   }
 
   test("the trend aggregate is an Expand and a HashAggregate under CompareTopKExec") {
@@ -186,6 +189,37 @@ class CompareExecSpec extends SparkSpec {
     TestUtil.assertSameResult(CompareSession.compare(df, spec, Some(k)), expect)
     TestUtil.assertSameResult(udfTopK(df, spec, k), expect)
     TestUtil.assertSameResult(middlewareTopK(df, spec, k), expect)
+  }
+
+  test("every trend-building path counts the operator's Φp work") {
+    val k = TopK(3, ascending = true)
+    val names = Seq("trends", "pairs", "pairsPrunedInitial", "pairsPrunedSearch", "segments",
+      "tuplesCompared", "summarySize")
+    def counters(st: PrunedTopK.PruneStats): Seq[Long] = Seq(st.trendCount, st.pairsTotal,
+      st.pairsPrunedInitial, st.pairsPrunedSearch, st.segmentsProcessed, st.tuplesCompared, st.summaryBytes)
+    /** The operator's counters, after checking the other paths' against them. */
+    def check(name: String, df: DataFrame, spec: CompareSpec): Seq[Long] = {
+      val compared = CompareSession.compare(df, spec, Some(k))
+      compared.collect()
+      val metrics = CompareTopKExec.in(compared).get.metrics
+      val operator = names.map(metrics(_).value)
+      val (t1, t2) = TrendCollector.collect(df, spec)
+      for ((path, st) <- Seq("PrunedTopK.run" -> PrunedTopK.run(spec, t1, t2, k).stats,
+        "UDF" -> UdfBaseline.topK(df, spec, k).stats,
+        "MIDDLEWARE" -> MiddlewareBaseline.topK(df, spec, k, bandwidthMBps = 1e6).stats))
+        assert(counters(st) == operator, s"$name, $path: ${names.zip(counters(st))} vs ${names.zip(operator)}")
+      operator
+    }
+    check("symCities", sales, Specs.symCities())
+    val flight = FlightData.flights(spark, nAirports = 16, nDays = 61, rowsPerCell = 2).cache()
+    for (q <- Seq(Workloads.flightQ1, Workloads.flightQ3, Workloads.flightQ4)) check(q.id, flight, q.spec)
+    flight.unpersist()
+    // Seven weeks give 3 segments, eight would give 4: a week whose every
+    // measure is NULL must add no grouping value to the dictionary.
+    val rows = for ((city, ci) <- Seq("A", "B", "C", "D").zipWithIndex; week <- 1 to 7)
+      yield Row(city, "P0", week, (ci + 1) * week + 0.37 * ci * ci + 0.011 * week * week)
+    val nullWeek = Seq("A", "B", "C", "D").map(Row(_, "P0", 8, null))
+    assert(check("a NULL week", edgeDf(rows ++ nullWeek), symCity()) == check("7 weeks", edgeDf(rows), symCity()))
   }
 
   test("edge: a NULL grouping value belongs to no trend") {

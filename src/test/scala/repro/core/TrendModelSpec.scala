@@ -1,5 +1,8 @@
 package repro.core
 
+import org.scalacheck.rng.Seed
+import org.scalacheck.util.Pretty
+import org.scalacheck.{Gen, Prop, Test}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.TrendModel._
 
@@ -8,9 +11,19 @@ import repro.core.TrendModel._
   */
 class TrendModelSpec extends AnyFunSuite {
 
+  /** Trend `c` built by [[TrendBuilder]]; a second trend holds every value
+    * of `dict`, so the builder's dictionary and segmentation are `dict`'s
+    * and `seg`'s.
+    */
   private def mkTrend(gm: Int, c: String, data: Map[String, Double],
-                      dict: GroupingDict, seg: Segmentation): SegTrend =
-    buildTrend(TrendRow(gm, Seq(c), data), dict, seg)
+                      dict: GroupingDict, seg: Segmentation): SegTrend = {
+    val ts = TrendsetSpec(Seq(ConstraintTerm("c", None)), Seq(GroupingMeasure("g", AggKind.Sum, "v")))
+    val b = new TrendBuilder(CompareSpec(ts, ts, Scorer(AggKind.Sum, 2)), Some(seg.numSegments))
+    val id = b.member(ts.constraint, ts.gms(gm))
+    dict.values.foreach(b.add(id, Seq(s"$c*"), _, 0.0))
+    data.foreach { case (g, v) => b.add(id, Seq(c), g, v) }
+    b.result()._1.find(_.c == Seq(c)).get
+  }
 
   private def dictAndSeg(keys: Seq[String], numSegments: Int): (GroupingDict, Segmentation) = {
     val d = GroupingDict.build(keys)
@@ -103,47 +116,70 @@ class TrendModelSpec extends AnyFunSuite {
     assert(b0.lower + b1.lower <= exact && exact <= b0.upper + b1.upper)
   }
 
+  /** Values at the dictionary codes of `seg`: per segment either uniform in
+    * [lo, hi) or one value held across it, among them the ones whose rounded
+    * averages once let a segment's lower bound pass its upper bound.
+    */
+  private def segmentValues(seg: Segmentation, lo: Double, hi: Double): Gen[Vector[Double]] =
+    (0 until seg.count).map { s =>
+      val len = seg.hi(s) - seg.lo(s)
+      Gen.frequency(2 -> Gen.listOfN(len, Gen.choose(lo, hi)),
+        1 -> Gen.oneOf(0.1, 0.0, 5.0, 9.99, 4.99).map(List.fill(len)(_)))
+    }.foldLeft(Gen.const(Vector.empty[Double]))((acc, g) => for (a <- acc; b <- g) yield a ++ b)
+
+  /** Every segment's bounds against its exact score (and their sums, for
+    * trends with no grouping value missing): the failures, if any.
+    */
+  private def unsound(t1: SegTrend, t2: SegTrend, p: Int, whole: Boolean): Seq[String] = {
+    val s = t1.seg
+    val perSeg = (0 until s.count).map { i =>
+      val b = segBound(t1, t2, i, p)
+      val (score, m, _) = exactScore(t1, t2, Scorer(AggKind.Sum, p), s.lo(i), s.hi(i))
+      (i, b, m, score.getOrElse(0.0))
+    }
+    val (lower, upper, exact) = (perSeg.map(_._2.lower).sum, perSeg.map(_._2.upper).sum, perSeg.map(_._4).sum)
+    perSeg.collect {
+      case (i, b, m, _) if b.matched != m => s"seg $i matched ${b.matched} vs $m"
+      case (i, b, _, e) if !(b.lower <= e + 1e-9 && e <= b.upper + 1e-9) => s"seg $i bounds $b vs $e"
+    } ++ Option.when(whole && !(lower <= exact + 1e-9 && exact <= upper + 1e-9))(s"sums $lower, $upper vs $exact")
+  }
+
+  private def check(prop: Prop, seed: Long): Unit = {
+    val result = Test.check(Test.Parameters.default.withInitialSeed(Seed(seed)).withMinSuccessfulTests(200), prop)
+    assert(result.passed, Pretty.pretty(result))
+  }
+
   test("property: bounds always contain the exact segment score (dense)") {
-    val rnd = new scala.util.Random(7)
-    for (trial <- 1 to 50; p <- Seq(1, 2)) {
-      val n = 8 + rnd.nextInt(60)
+    val dense = for {
+      n <- Gen.choose(8, 67)
+      p <- Gen.oneOf(1, 2)
+      s = new Segmentation(n, sturges(n))
+      v1 <- segmentValues(s, -50, 50)
+      v2 <- segmentValues(s, -50, 50)
+    } yield (n, p, v1, v2)
+    check(Prop.forAllNoShrink(dense) { case (n, p, v1, v2) =>
       val keys = (1 to n).map(_.toString)
       val (d, s) = dictAndSeg(keys, sturges(n))
-      val t1 = mkTrend(0, "a", keys.map(k => k -> (rnd.nextDouble() * 100 - 50)).toMap, d, s)
-      val t2 = mkTrend(0, "b", keys.map(k => k -> (rnd.nextDouble() * 100 - 50)).toMap, d, s)
-      var lower = 0.0; var upper = 0.0; var exact = 0.0
-      for (i <- 0 until s.count) {
-        val b = segBound(t1, t2, i, p)
-        val (score, m, _) = exactScore(t1, t2, Scorer(AggKind.Sum, p), s.lo(i), s.hi(i))
-        val e = score.get
-        assert(b.matched == m, s"trial $trial seg $i matched")
-        assert(b.lower <= e + 1e-9 && e <= b.upper + 1e-9, s"trial $trial seg $i bounds")
-        lower += b.lower; upper += b.upper; exact += e
-      }
-      assert(lower <= exact + 1e-9 && exact <= upper + 1e-9)
-    }
+      val bad = unsound(mkTrend(0, "a", keys.zip(v1).toMap, d, s), mkTrend(0, "b", keys.zip(v2).toMap, d, s),
+        p, whole = true)
+      Prop(bad.isEmpty) :| s"p $p: ${bad.mkString("; ")}\n$v1\n$v2"
+    }, seed = 7)
   }
 
   test("property: bounds remain sound for sparse, partially-overlapping trends") {
-    val rnd = new scala.util.Random(13)
-    for (trial <- 1 to 50) {
-      val keys = (1 to 40).map(_.toString)
-      val (d, s) = dictAndSeg(keys, 4)
-      def sparse() =
-        keys.filter(_ => rnd.nextDouble() < 0.7).map(k => k -> (rnd.nextDouble() * 20)).toMap
-      val m1 = sparse(); val m2 = sparse()
-      if (m1.nonEmpty && m2.nonEmpty) {
-        val t1 = mkTrend(0, "a", m1, d, s)
-        val t2 = mkTrend(0, "b", m2, d, s)
-        for (i <- 0 until s.count) {
-          val b = segBound(t1, t2, i, 2)
-          val (score, m, _) = exactScore(t1, t2, Scorer(AggKind.Sum, 2), s.lo(i), s.hi(i))
-          val e = score.getOrElse(0.0)
-          assert(b.matched == m, s"trial $trial seg $i matched")
-          assert(b.lower <= e + 1e-9 && e <= b.upper + 1e-9, s"trial $trial seg $i bounds")
-        }
-      }
-    }
+    val keys = (1 to 40).map(_.toString)
+    val (d, s) = dictAndSeg(keys, 4)
+    val trend = for {
+      present <- Gen.listOfN(keys.size, Gen.prob(0.7))
+      values <- segmentValues(s, 0, 20)
+    } yield keys.lazyZip(present).lazyZip(values).collect { case (k, true, v) => k -> v }.toMap
+    val sparse = for (p <- Gen.oneOf(1, 2); m1 <- trend; m2 <- trend) yield (p, m1, m2)
+    check(Prop.forAllNoShrink(sparse) { case (p, m1, m2) =>
+      val bad =
+        if (m1.isEmpty || m2.isEmpty) Nil
+        else unsound(mkTrend(0, "a", m1, d, s), mkTrend(0, "b", m2, d, s), p, whole = false)
+      Prop(bad.isEmpty) :| s"p $p: ${bad.mkString("; ")}\n$m1\n$m2"
+    }, seed = 13)
   }
 
   test("exactScore matches the sum of its per-segment contributions for SUM") {
