@@ -26,8 +26,7 @@ object MiddlewareBaseline {
   final case class Result(pairs: Seq[ScoredPair], stats: PrunedTopK.PruneStats,
                           transferredBytes: Long, transferSeconds: Double)
 
-  def topK(df: DataFrame, spec: CompareSpec, k: TopK,
-           bandwidthMBps: Double = 50.0): Result = {
+  def topK(df: DataFrame, spec: CompareSpec, k: TopK, bandwidthMBps: Double): Result = {
     // One aggregate query per (g, m) and template — issued separately, like a
     // visualization tool fetching each chart's data. The client decodes every
     // query's rows into one builder, so each grouping column has one dictionary.

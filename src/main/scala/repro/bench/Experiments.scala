@@ -72,8 +72,6 @@ object Experiments {
   final case class E2ERow(query: String, basic: Double, compare: Double,
                           udf: Double, middleware: Double) {
     def compareSpeedup: Double = basic / compare
-    def udfSpeedup: Double = basic / udf
-    def middlewareSpeedup: Double = basic / middleware
   }
 
   /** End-to-end latency of the four approaches on Q1–Q4 (Figure 9a). */
@@ -82,14 +80,12 @@ object Experiments {
       case "flight" => (materialize(flightData(spark)), Workloads.flightQueries)
       case "tpcds"  => (materialize(tpcdsData(spark)), Workloads.tpcdsQueries)
     }
-    // Warm the execution paths once on the cheapest query.
-    runCompare(df, queries.head); runBasic(df, queries.head)
     val rows = queries.map { q =>
       System.gc() // don't charge this query for the previous one's garbage
-      val c = runCompare(df, q)
-      val b = runBasic(df, q)
-      val u = runUdf(df, q)
-      val m = runMiddleware(df, q)
+      val c = warmBest2(compare(df, q))
+      val b = warmBest2(basic(df, q))
+      val u = warmBest2(udf(df, q))
+      val m = warmBest2(middleware(df, q))
       E2ERow(q.id, b, c, u, m)
     }
     val paperSpeedups = dataset match {

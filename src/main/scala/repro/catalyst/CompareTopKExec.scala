@@ -2,12 +2,11 @@ package repro.catalyst
 
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, ReproBridge}
-import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.catalyst.{CatalystTypeConverters, InternalRow}
 import org.apache.spark.sql.catalyst.expressions.{Attribute, AttributeSet, UnsafeProjection}
 import org.apache.spark.sql.execution.{SQLExecution, SparkPlan, UnaryExecNode}
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
 import org.apache.spark.sql.execution.metric.{SQLMetric, SQLMetrics}
-import org.apache.spark.unsafe.types.UTF8String
 import repro.core._
 import repro.core.TrendModel.TrendBuilder
 
@@ -70,10 +69,8 @@ case class CompareTopKExec(
 
     val proj = UnsafeProjection.create(output.map(_.dataType).toArray)
     res.pairs.map { p =>
-      val gm1 = spec.t1.gms(p.gm1); val gm2 = spec.t2.gms(p.gm2)
-      val strs = (p.c1 ++ p.c2 ++ Seq(gm1.grouping, gm1.measureLabel, gm2.measureLabel))
-        .map(s => if (s == null) null else UTF8String.fromString(s))
-      proj(InternalRow.fromSeq(strs :+ p.score)).copy(): InternalRow
+      val row = CompareOutput.values(spec, p).map(CatalystTypeConverters.convertToCatalyst)
+      proj(InternalRow.fromSeq(row)).copy(): InternalRow
     }.toArray
   }
 

@@ -2,6 +2,7 @@ package repro.catalyst
 
 import org.apache.spark.sql.catalyst.expressions._
 import org.apache.spark.sql.catalyst.expressions.aggregate._
+import org.apache.spark.sql.catalyst.planning.ExtractEquiJoinKeys
 import org.apache.spark.sql.catalyst.plans.Inner
 import org.apache.spark.sql.catalyst.plans.logical._
 import org.apache.spark.sql.catalyst.rules.Rule
@@ -28,23 +29,9 @@ object PkFkHints {
   */
 object PushCompareBelowJoin extends Rule[LogicalPlan] {
   override def apply(plan: LogicalPlan): LogicalPlan = plan.transformUp {
-    case cn @ CompareNode(_, _, Join(left, right, Inner, Some(cond), _), _, _) =>
-      tryPush(cn, left, right, cond).getOrElse(cn)
-  }
-
-  private def tryPush(cn: CompareNode, left: LogicalPlan, right: LogicalPlan,
-                      cond: Expression): Option[LogicalPlan] = cond match {
-    case EqualTo(a: AttributeReference, b: AttributeReference) =>
-      def sideOf(attr: AttributeReference): Option[Boolean] = // true = left
-        if (left.outputSet.contains(attr)) Some(true)
-        else if (right.outputSet.contains(attr)) Some(false) else None
-      (sideOf(a), sideOf(b)) match {
-        case (Some(sa), Some(sb)) if sa != sb =>
-          val (l, r) = if (sa) (a, b) else (b, a) // l on left, r on right
-          push(cn, left, l, right, r).orElse(push(cn, right, r, left, l))
-        case _ => None
-      }
-    case _ => None
+    case cn @ CompareNode(_, _, ExtractEquiJoinKeys(Inner, Seq(l: AttributeReference),
+        Seq(r: AttributeReference), None, _, left, right, _), _, _) =>
+      push(cn, left, l, right, r).orElse(push(cn, right, r, left, l)).getOrElse(cn)
   }
 
   /** Attempt with `fact` holding the FK `fk` and `dim` holding the PK `pk`. */
@@ -75,11 +62,11 @@ object PushCompareBelowJoin extends Rule[LogicalPlan] {
   * original filter is kept — it is cheap and keeps the rewrite trivially
   * sound).
   */
-object PushFilterBelowCompare extends Rule[LogicalPlan] {
+object PushFilterBelowCompare extends Rule[LogicalPlan] with PredicateHelper {
   override def apply(plan: LogicalPlan): LogicalPlan = plan.transformUp {
     case f @ Filter(cond, cn @ CompareNode(spec, _, child, _, _))
         if spec.t1.attrs == spec.t2.attrs =>
-      val conjuncts = splitConjuncts(cond)
+      val conjuncts = splitConjunctivePredicates(cond)
       val pushable = spec.t1.freeAttrs.flatMap { a =>
         for {
           s1 <- valueSet(conjuncts, cn.output, s"${a}_1")
@@ -99,11 +86,6 @@ object PushFilterBelowCompare extends Rule[LogicalPlan] {
           case _ => Filter(cond, cn.copy(child = Filter(pushed, child)))
         }
       }
-  }
-
-  private def splitConjuncts(e: Expression): Seq[Expression] = e match {
-    case And(l, r) => splitConjuncts(l) ++ splitConjuncts(r)
-    case other     => Seq(other)
   }
 
   /** The value set an output column is restricted to, if a conjunct pins it. */
@@ -202,8 +184,9 @@ object ReduceToCompare extends Rule[LogicalPlan] {
 
   override def apply(plan: LogicalPlan): LogicalPlan = plan.transformUp {
     case outer @ Aggregate(groupExprs, _, joinPlan, _) if groupExprs.size == 2 =>
-      (matchJoin(stripProjects(joinPlan)) match {
-        case Some((left, right, gCond, cCond)) =>
+      (stripProjects(joinPlan) match {
+        case ExtractEquiJoinKeys(Inner, Seq(g1: AttributeReference), Seq(g2: AttributeReference),
+            Some(cCond), _, left, right, _) =>
           for {
             ta1 <- matchTrendAgg(left)
             ta2 <- matchTrendAgg(right)
@@ -213,33 +196,12 @@ object ReduceToCompare extends Rule[LogicalPlan] {
             // COMPARE orders constraint values as strings, so `a.c < b.c`
             // means the same only on string columns.
             if ta1.cOut.dataType == StringType && ta2.cOut.dataType == StringType
-            if isEq(gCond, ta1.gOut, ta2.gOut)
+            if g1.exprId == ta1.gOut.exprId && g2.exprId == ta2.gOut.exprId
             if isLt(cCond, ta1.cOut, ta2.cOut)
             rewritten <- rewriteOuter(outer, ta1, ta2)
           } yield rewritten
-        case None => None
+        case _ => None
       }).getOrElse(outer)
-  }
-
-  private def matchJoin(plan: LogicalPlan): Option[(LogicalPlan, LogicalPlan, Expression, Expression)] =
-    plan match {
-      case Join(l, r, Inner, Some(cond), _) =>
-        val cs = cond match {
-          case And(a, b) => Seq(a, b)
-          case _         => return None
-        }
-        cs match {
-          case Seq(a, b) if a.isInstanceOf[EqualTo] => Some((l, r, a, b))
-          case Seq(a, b) if b.isInstanceOf[EqualTo] => Some((l, r, b, a))
-          case _ => None
-        }
-      case _ => None
-    }
-
-  private def isEq(e: Expression, x: Attribute, y: Attribute): Boolean = e match {
-    case EqualTo(a: AttributeReference, b: AttributeReference) =>
-      (a.exprId == x.exprId && b.exprId == y.exprId) || (a.exprId == y.exprId && b.exprId == x.exprId)
-    case _ => false
   }
 
   private def isLt(e: Expression, x: Attribute, y: Attribute): Boolean = e match {
@@ -280,35 +242,27 @@ object ReduceToCompare extends Rule[LogicalPlan] {
       case _ => None
     }
 
-    // Outer agg exprs: c1, c2 pass-throughs plus the score.
-    def roleOf(ne: NamedExpression): Option[String] = strip(ne) match {
-      case a: AttributeReference if a.exprId == ta1.cOut.exprId => Some("c1")
-      case a: AttributeReference if a.exprId == ta2.cOut.exprId => Some("c2")
-      case _ => scorerOf(ne).map(_ => "score")
-    }
-    val outCols = outer.aggregateExpressions.map(ne => roleOf(ne).map(_ -> ne))
     val scorer = outer.aggregateExpressions.flatMap(scorerOf).lastOption
-    if (outCols.exists(_.isEmpty) || scorer.isEmpty) return None
-
-    val ts = TrendsetSpec(Seq(ConstraintTerm(ta1.cName, None)),
-      Seq(GroupingMeasure(ta1.gName, ta1.agg, ta1.mName)))
-    val spec = CompareSpec(ts, ts, scorer.get)
-    val cmp = CompareNode(spec, None, ta1.src)
-    val byName = cmp.output.map(a => a.name -> a).toMap
-
-    // Rebuild the original output columns (names, types, exprIds preserved)
-    // from COMPARE's string-typed output.
-    val projections = outCols.flatten.map { case (role, orig) =>
-      val origAttr = orig.toAttribute
-      val srcAttr = role match {
-        case "c1"    => byName(s"${ta1.cName}_1")
-        case "c2"    => byName(s"${ta2.cName}_2")
-        case "score" => byName("score")
+    scorer.flatMap { sc =>
+      val ts = TrendsetSpec(Seq(ConstraintTerm(ta1.cName, None)),
+        Seq(GroupingMeasure(ta1.gName, ta1.agg, ta1.mName)))
+      val cmp = CompareNode(CompareSpec(ts, ts, sc), None, ta1.src)
+      // Each outer column is a pass-through of c1 or c2, or the score: rebuild
+      // it (name, type, exprId preserved) from COMPARE's string-typed output
+      // (c_1, c_2, grouping, measure_1, measure_2, score).
+      def source(ne: NamedExpression): Option[Attribute] = strip(ne) match {
+        case a: AttributeReference if a.exprId == ta1.cOut.exprId => Some(cmp.output.head)
+        case a: AttributeReference if a.exprId == ta2.cOut.exprId => Some(cmp.output(1))
+        case _ => scorerOf(ne).map(_ => cmp.output.last)
       }
-      val e: Expression =
-        if (srcAttr.dataType == origAttr.dataType) srcAttr else Cast(srcAttr, origAttr.dataType)
-      Alias(e, origAttr.name)(exprId = origAttr.exprId)
+      val projections = outer.aggregateExpressions.map { ne =>
+        source(ne).map { src =>
+          val orig = ne.toAttribute
+          val e = if (src.dataType == orig.dataType) src else Cast(src, orig.dataType)
+          Alias(e, orig.name)(exprId = orig.exprId)
+        }
+      }
+      if (projections.exists(_.isEmpty)) None else Some(Project(projections.flatten, cmp))
     }
-    Some(Project(projections, cmp))
   }
 }

@@ -1,6 +1,6 @@
 package repro.catalyst
 
-import org.apache.spark.sql.ReproBridge
+import org.apache.spark.sql.{DataFrame, ReproBridge}
 import org.apache.spark.sql.functions._
 import repro.core._
 import repro.tpcds.WebSalesData
@@ -50,6 +50,21 @@ class RulesSpec extends SparkSpec {
     // The rule preserves output attributes (names included); values are equal
     // since FK = PK on every joined row.
     TestUtil.assertSameResult(before, after)
+  }
+
+  test("R1 fires with the dimension on either side, and not on a residual predicate") {
+    PkFkHints.clear()
+    PkFkHints.register("wp_web_page_sk", "ws_web_page_sk")
+    def pushed(joined: DataFrame): Option[CompareNode] = {
+      val node = CompareNode(wsSpec("wp_web_page_sk"), None, ReproBridge.analyzedPlan(joined))
+      Some(PushCompareBelowJoin(node)).collect { case cn: CompareNode if cn != node => cn }
+    }
+    val dimLeft = pushed(dim.join(fact, dim("wp_web_page_sk") === fact("ws_web_page_sk")))
+    assert(dimLeft.map(_.spec.t1.attrs).contains(Seq("ws_web_page_sk")), "PK replaced by FK")
+    assert(!dimLeft.get.child.exists(_.isInstanceOf[org.apache.spark.sql.catalyst.plans.logical.Join]))
+    val residual = fact.join(dim,
+      fact("ws_web_page_sk") === dim("wp_web_page_sk") && dim("wp_link_count") > 3)
+    assert(pushed(residual).isEmpty, "dropping the join would drop its residual filter")
   }
 
   test("R1 does not fire without a PK-FK hint") {
@@ -156,26 +171,31 @@ class RulesSpec extends SparkSpec {
 
   // ---------------------------------------------------------------- R5
 
-  private def comparativeSql(c: String, g: String): String =
+  private def comparativeSql(c: String, g: String,
+                             on: String = "a.g = b.g AND a.c < b.c"): String =
     s"""SELECT a.c AS c1, b.c AS c2, SUM(POWER(ABS(a.v - b.v), 2)) AS score
       |FROM (SELECT $c AS c, $g AS g, AVG(revenue) AS v FROM sales GROUP BY $c, $g) a
       |JOIN (SELECT $c AS c, $g AS g, AVG(revenue) AS v FROM sales GROUP BY $c, $g) b
-      |  ON a.g = b.g AND a.c < b.c
+      |  ON $on
       |GROUP BY a.c, b.c""".stripMargin
 
   private val comparativeSql: String = comparativeSql("city", "week")
+  // The same query with each side of the join condition written the other way round.
+  private val flippedSql: String = comparativeSql("city", "week", "b.g = a.g AND b.c > a.c")
 
   test("R5 recognizes the hand-written comparative sub-plan") {
     sales.createOrReplaceTempView("sales")
-    val df = spark.sql(comparativeSql)
-    val rewritten = ReduceToCompare(ReproBridge.optimizedPlan(df))
-    assert(rewritten.exists(_.isInstanceOf[CompareNode]),
-      s"no CompareNode in:\n$rewritten\nfrom:\n${ReproBridge.optimizedPlan(df)}")
+    for (sql <- Seq(comparativeSql, flippedSql)) {
+      val df = spark.sql(sql)
+      val rewritten = ReduceToCompare(ReproBridge.optimizedPlan(df))
+      assert(rewritten.exists(_.isInstanceOf[CompareNode]),
+        s"no CompareNode in:\n$rewritten\nfrom:\n${ReproBridge.optimizedPlan(df)}")
+    }
   }
 
   test("R5 rewrite preserves results") {
     sales.createOrReplaceTempView("sales")
-    for (sql <- Seq(comparativeSql, comparativeSql("week", "city"))) {
+    for (sql <- Seq(comparativeSql, flippedSql, comparativeSql("week", "city"))) {
       val df = spark.sql(sql)
       val rewritten = ReduceToCompare(ReproBridge.optimizedPlan(df))
       TestUtil.assertSameResult(df, ReproBridge.ofRows(spark, rewritten), sql)
