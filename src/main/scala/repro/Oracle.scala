@@ -109,8 +109,9 @@ object Oracle {
     got.foreach { case (key, nums) =>
       val expected = exp(key)
       nums.zip(expected).foreach { case (a, b) =>
-        val ok = a == b || (a.isNaN && b.isNaN) ||
-          math.abs(a - b) <= math.max(1e-9, relTol * math.max(math.abs(a), math.abs(b)))
+        // An infinity against a finite value is a mismatch, though ∞ ≤ relTol · ∞.
+        val ok = a == b || (a.isNaN && b.isNaN) || (!a.isInfinite && !b.isInfinite &&
+          math.abs(a - b) <= math.max(1e-9, relTol * math.max(math.abs(a), math.abs(b))))
         require(ok, s"value mismatch at $key: spark=$a duckdb=$b (relTol=$relTol)")
       }
     }

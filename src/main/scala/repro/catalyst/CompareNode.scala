@@ -31,8 +31,7 @@ case class CompareNode(
 
   // The spec references child columns by name; surface them as real
   // references so column pruning keeps exactly these columns alive.
-  override lazy val references: AttributeSet = AttributeSet(
-    child.output.filter(a => spec.referencedColumns.exists(_.equalsIgnoreCase(a.name))))
+  override lazy val references: AttributeSet = CompareNode.references(spec, child)
 
   override def maxRows: Option[Long] = topK.map(_.k.toLong)
 
@@ -45,6 +44,10 @@ object CompareNode {
   def apply(spec: CompareSpec, topK: Option[TopK], child: LogicalPlan,
             cfg: PrunedTopK.Config = PrunedTopK.Config()): CompareNode =
     new CompareNode(spec, topK, child, defaultOutput(spec), cfg)
+
+  /** The columns of `child` that `spec` reads. */
+  def references(spec: CompareSpec, child: LogicalPlan): AttributeSet = AttributeSet(
+    child.output.filter(a => spec.referencedColumns.exists(_.equalsIgnoreCase(a.name))))
 
   def defaultOutput(spec: CompareSpec): Seq[Attribute] =
     CompareOutput.schema(spec).map(f => AttributeReference(f.name, f.dataType, f.nullable)())

@@ -1,8 +1,10 @@
 package repro.catalyst
 
 import org.apache.spark.sql.{ReproBridge, SparkSession}
-import org.apache.spark.sql.catalyst.plans.logical.LogicalPlan
+import org.apache.spark.sql.catalyst.plans.logical.{LogicalPlan, UnaryNode}
 import org.apache.spark.sql.execution.{LocalTableScanExec, SparkPlan, SparkStrategy}
+import org.apache.spark.sql.execution.aggregate.BaseAggregateExec
+import repro.core.CompareSpec
 
 /** Plans the COMPARE logical operator into [[CompareTopKExec]] over the
   * shared-scan trend aggregate (§4's "replace COMPARE with a sub-plan of
@@ -10,22 +12,63 @@ import org.apache.spark.sql.execution.{LocalTableScanExec, SparkPlan, SparkStrat
   * child and planned by Spark's own strategies, without another optimizer
   * pass. A spec with no comparable (g, m) pair has no trend to build and
   * plans as an empty relation, as the basic plan returns one.
+  *
+  * The aggregate is planned one of two ways, by Catalyst's size estimate
+  * of its output:
+  *  - small (up to [[CompareStrategy.DriverMergeBytes]]): only the map-side
+  *    partial aggregate, whose rows the operator collects and merges on the
+  *    driver ([[TrendAggregation.decode]]): one stage, no shuffle;
+  *  - large: partial aggregate → hash `Exchange` → final aggregate.
+  *
+  * [[TrendAggregate]], the aggregate on its own, is planned the same way.
   */
 class CompareStrategy(spark: SparkSession) extends SparkStrategy {
 
   override def apply(plan: LogicalPlan): Seq[SparkPlan] = plan match {
     case n: CompareNode if n.spec.comparableGmPairs.isEmpty => LocalTableScanExec(n.output, Nil, None) :: Nil
-    case n: CompareNode =>
-      val trends = new TrendAggregation(n.spec).plan(n.child)
-      val trendsExec = ReproBridge.planner(spark).plan(trends).next()
-      // The aggregate's logical nodes are not in the query's logical plan, so
-      // the physical nodes that came from them are linked to the COMPARE
-      // node: adaptive execution then maps the aggregate's shuffle stage
-      // back to it instead of re-planning the query after every stage.
-      trendsExec.foreach { p =>
-        if (!p.logicalLink.exists(l => n.child.exists(_ eq l))) p.setTagValue(SparkPlan.LOGICAL_PLAN_TAG, n)
-      }
-      CompareTopKExec(n.spec, n.topK, n.cfg, n.output, trendsExec) :: Nil
+    case n: CompareNode => CompareTopKExec(n.spec, n.topK, n.cfg, n.output, trends(n.spec, n)) :: Nil
+    case n: TrendAggregate => trends(n.spec, n) :: Nil
     case _ => Nil
   }
+
+  /** `spec`'s trend aggregate over `node`'s child, in either plan. */
+  private def trends(spec: CompareSpec, node: UnaryNode): SparkPlan = {
+    val logical = new TrendAggregation(spec).plan(node.child)
+    val exec = ReproBridge.planner(spark).plan(logical).next() match {
+      // Spark plans the final aggregate right over the partial one; the
+      // Exchange between them comes later (EnsureRequirements).
+      case fin: BaseAggregateExec if logical.stats.sizeInBytes <= CompareStrategy.DriverMergeBytes => fin.child
+      case fin => fin
+    }
+    // The aggregate's logical nodes are not in the query's logical plan, so
+    // the physical nodes that came from them are linked to `node`: adaptive
+    // execution then maps the aggregate's shuffle stage back to it instead of
+    // re-planning the query after every stage.
+    exec.foreach { p =>
+      if (!p.logicalLink.exists(l => node.child.exists(_ eq l))) p.setTagValue(SparkPlan.LOGICAL_PLAN_TAG, node)
+    }
+    exec
+  }
+}
+
+object CompareStrategy {
+  /** The largest estimated trend aggregate that is merged on the driver:
+    * Spark's own default bound for moving a relation to one place
+    * (`spark.sql.autoBroadcastJoinThreshold`, 10 MB), kept as a constant.
+    * The estimate bounds the partial rows that one driver thread collects
+    * and merges.
+    *
+    * Basis: Flight Q4 (10 AVG (g, m)s) timed with each plan forced, Spark
+    * `local[4]` with cmpbench's session settings on a 4-core box, median of
+    * 21 queries after 15 warm-up ones, two runs (driver-merge vs exchange):
+    *  - 40 airports × 61 days × 4 rows, 3 MB: 130–164 vs 219–226 ms;
+    *  - 40 × 61 × 16, 12 MB: 125–129 vs 208–212 ms;
+    *  - 40 × 366 × 4, 18 MB: 137–146 vs 209–235 ms;
+    *  - 40 × 366 × 16, 72 MB: 309–345 vs 330–418 ms, where the driver's
+    *    merge and build take 62–63 ms against the final rows' 21–28 ms.
+    * The gain shrinks as partial rows grow; no measured shape put the
+    * crossover below 72 MB, so 10 MB keeps to the side where the driver
+    * merge wins clearly.
+    */
+  val DriverMergeBytes: BigInt = BigInt(10L << 20)
 }

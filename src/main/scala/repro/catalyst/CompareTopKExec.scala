@@ -12,15 +12,18 @@ import repro.core.TrendModel.TrendBuilder
 
 /** The COMPARE physical operator Φp (§5.3) as a Spark `UnaryExecNode`.
   *
-  * It collects its child, the trend aggregate of [[TrendAggregation]],
-  * builds the trends on the driver ([[repro.core.TrendModel.TrendBuilder]])
-  * and hands them to [[PrunedTopK]]: with a fused top-k the bound→prune +
-  * early-termination algorithm runs as `cfg` configures it; without one all
-  * pairs are scored trendwise. Its metrics time the three phases
-  * (`collectTime`, `trendTime`, `phiTime`); under adaptive execution the
-  * aggregate's shuffle map stage runs before `collectTime` starts.
-  * `executeCollect` returns the result rows directly, so a COMPARE query is
-  * one Spark job.
+  * It collects its child, the trend aggregate of [[TrendAggregation]] in
+  * either of [[CompareStrategy]]'s plans (the partial aggregate alone, or
+  * partial → Exchange → final), merges and decodes the rows into trends on
+  * the driver ([[repro.core.TrendModel.TrendBuilder]]) and hands them to
+  * [[PrunedTopK]]: with a fused top-k the bound→prune + early-termination
+  * algorithm runs as `cfg` configures it; without one all pairs are scored
+  * trendwise. Its metrics time the four phases (`collectTime`, `trendTime`,
+  * `boundTime`, `searchTime`). On the exchange plan under adaptive
+  * execution the aggregate's shuffle map stage runs before `collectTime`
+  * starts; the partial-only plan has no shuffle, so `collectTime` covers
+  * the whole aggregate. `executeCollect` returns the result rows directly,
+  * so a COMPARE query is one Spark job.
   */
 case class CompareTopKExec(
     spec: CompareSpec,
@@ -45,7 +48,8 @@ case class CompareTopKExec(
     "summarySize" -> SQLMetrics.createSizeMetric(sparkContext, "segment summary size"),
     "collectTime" -> SQLMetrics.createTimingMetric(sparkContext, "time to collect the trend aggregate"),
     "trendTime" -> SQLMetrics.createTimingMetric(sparkContext, "time to build trends"),
-    "phiTime" -> SQLMetrics.createTimingMetric(sparkContext, "time in Φp's bound, prune and search"))
+    "boundTime" -> SQLMetrics.createTimingMetric(sparkContext, "time in Φp's bound and initial prune"),
+    "searchTime" -> SQLMetrics.createTimingMetric(sparkContext, "time in Φp's search"))
 
   private def result(): Array[InternalRow] = {
     val t0 = System.nanoTime()
@@ -62,7 +66,8 @@ case class CompareTopKExec(
       "pairsPrunedInitial" -> st.pairsPrunedInitial, "pairsPrunedSearch" -> st.pairsPrunedSearch,
       "segments" -> st.segmentsProcessed, "tuplesCompared" -> st.tuplesCompared,
       "summarySize" -> st.summaryBytes, "collectTime" -> (t1 - t0) / 1000000L,
-      "trendTime" -> (t2 - t1) / 1000000L, "phiTime" -> (t3 - t2) / 1000000L)
+      "trendTime" -> (t2 - t1) / 1000000L, "boundTime" -> res.boundNanos / 1000000L,
+      "searchTime" -> (t3 - t2 - res.boundNanos) / 1000000L)
       .foreach { case (name, v) => metrics(name).set(v) }
     SQLMetrics.postDriverMetricUpdates(sparkContext,
       sparkContext.getLocalProperty(SQLExecution.EXECUTION_ID_KEY), metrics.values.toSeq)

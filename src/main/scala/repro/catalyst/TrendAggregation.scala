@@ -1,20 +1,35 @@
 package repro.catalyst
 
+import java.util.Objects
+
 import scala.collection.immutable.VectorMap
 
 import org.apache.spark.sql.{DataFrame, ReproBridge}
 import org.apache.spark.sql.functions.{col, lit}
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.catalyst.expressions._
-import org.apache.spark.sql.catalyst.expressions.aggregate.{AggregateFunction, Average, Max, Min, Sum}
-import org.apache.spark.sql.catalyst.plans.logical.{Aggregate, Expand, Filter, LogicalPlan, Project}
+import org.apache.spark.sql.catalyst.expressions.aggregate.{Count, Max, Min, Sum}
+import org.apache.spark.sql.catalyst.plans.logical.{Aggregate, Expand, Filter, LogicalPlan, Project, UnaryNode}
 import org.apache.spark.sql.internal.SQLConf
 import org.apache.spark.sql.types.{BooleanType, DataType, DoubleType, IntegerType, StringType}
+import org.apache.spark.unsafe.types.UTF8String
 import repro.core._
 import repro.core.TrendModel.{SegTrend, TrendBuilder}
 
 /** Side `side`'s grouping set on column `grouping`; `members` index its (g, m)s. */
 private final case class GroupingSet(side: Int, grouping: String, members: Seq[Int])
+
+/** An aggregate row's (set, c, g), its first `n` fields, hashed and compared
+  * in place.
+  */
+private final class GroupKey(private val row: InternalRow, n: Int) {
+  private def field(i: Int): UTF8String = if (row.isNullAt(i)) null else row.getUTF8String(i)
+  override val hashCode: Int = (1 until n).foldLeft(row.getInt(0))((h, i) => 31 * h + Objects.hashCode(field(i)))
+  override def equals(other: Any): Boolean = other match {
+    case k: GroupKey => row.getInt(0) == k.row.getInt(0) && (1 until n).forall(i => field(i) == k.field(i))
+    case _ => false
+  }
+}
 
 /** The shared-scan trend builder (§4.2): one GROUPING SETS aggregate over
   * the input, planned and code-generated by Spark like any other aggregate.
@@ -34,6 +49,13 @@ private final case class GroupingSet(side: Int, grouping: String, members: Seq[I
   * `grouping_id` names the set; `v_j` carries its measure only in the sets
   * of its (g, m). The layout depends on the spec and `members` alone: [[plan]]
   * builds the aggregate, and [[decode]] and [[trendRel]] read its rows.
+  *
+  * Every aggregate is one whose partial buffer is its final value: SUM, MIN
+  * and MAX, and AVG as a SUM and a COUNT that the readers divide. So the
+  * rows of the map-side partial aggregate have the layout of the final
+  * aggregate's, and [[decode]] reads either: [[CompareStrategy]] hands the
+  * COMPARE operator the partial rows of a small aggregate to merge on the
+  * driver.
   *
   * `members` are the (trendset, (g, m))s to aggregate: by default the
   * comparable ones of the spec; the merged-aggregate ablation stage
@@ -56,8 +78,15 @@ private[repro] final class TrendAggregation(spec: CompareSpec,
       GroupingSet(s, g, gms.indices.filter(j => gms(j).grouping == g && needed.contains((s, gms(j)))))
     }
   private val nC = templates.map(_.count(_.isFree)).max
+  /** The ordinal of `g`; the aggregate columns follow it. */
+  private val gOrd = 1 + nC
+  /** Each (g, m)'s aggregate column; an AVG's COUNT is the next one. */
+  private val aggCol: Array[Int] =
+    gms.scanLeft(gOrd + 1)((o, gm) => o + (if (gm.agg == AggKind.Avg) 2 else 1)).init.toArray
 
-  /** The aggregate over `child`, with output `grouping_id, c_1..c_n, g, v_1..`. */
+  /** The aggregate over `child`, with output `grouping_id, c_1..c_n, g`,
+    * then per (g, m) `agg_j` (and an AVG's `cnt_j`).
+    */
   def plan(child: LogicalPlan): LogicalPlan = {
     val tz = Option(SQLConf.get.sessionLocalTimeZone)
     def attr(name: String): Attribute =
@@ -101,20 +130,30 @@ private[repro] final class TrendAggregation(spec: CompareSpec,
     val groupBy = gid +: cSlots :+ gSlot
     val expand = Expand(projections, groupBy ++ vSlots ++ keep, project)
     val input = keep.fold[LogicalPlan](expand)(Filter(_, expand))
-    val aggs = gms.zip(vSlots).zipWithIndex.map { case ((gm, v), j) =>
-      Alias(AggFunctions.of(gm.agg, v).toAggregateExpression(), s"agg${j + 1}")()
+    val aggs = gms.zip(vSlots).zipWithIndex.flatMap { case ((gm, v), j) =>
+      val fns = gm.agg match {
+        case AggKind.Sum => Seq("agg" -> Sum(v))
+        case AggKind.Avg => Seq("agg" -> Sum(v), "cnt" -> Count(v))
+        case AggKind.Min => Seq("agg" -> Min(v))
+        case AggKind.Max => Seq("agg" -> Max(v))
+      }
+      fns.map { case (name, fn) => Alias(fn.toAggregateExpression(), s"$name${j + 1}")() }
     }
     Aggregate(groupBy, groupBy ++ aggs, input, None)
   }
 
-  /** The aggregate's output rows as trend points into `into`, which it
-    * returns. A NULL grouping value belongs to no trend; a NULL aggregate
-    * (every measure NULL) is no point of its trend.
+  /** The aggregate's rows, final or partial, as trend points into `into`,
+    * which it returns. The rows of one (set, c, g) are merged first: the
+    * partial aggregate repeats a group once per task that saw it, the final
+    * one never does. A NULL grouping value belongs to no trend; a NULL
+    * aggregate (every measure NULL) is no point of its trend. `rows` are
+    * consumed: a group's rows are merged into its first.
     */
   def decode(rows: Array[InternalRow], into: TrendBuilder): TrendBuilder = {
-    val ids = sets.map(set => set.members.map(j => into.member(templates(set.side), gms(j))))
-    val gOrd = 1 + nC
-    rows.foreach { row =>
+    // Per set: each member's trend builder id, aggregate column and AVG flag.
+    val memberCols = sets.map(set => set.members.map(j =>
+      (into.member(templates(set.side), gms(j)), aggCol(j), gms(j).agg == AggKind.Avg)).toArray).toArray
+    merged(rows).forEach { row =>
       val set = row.getInt(0)
       if (!row.isNullAt(gOrd)) {
         val g = row.getUTF8String(gOrd).toString
@@ -123,12 +162,38 @@ private[repro] final class TrendAggregation(spec: CompareSpec,
           free += 1
           if (row.isNullAt(free)) null else row.getUTF8String(free).toString
         })
-        sets(set).members.lazyZip(ids(set)).foreach { (j, id) =>
-          if (!row.isNullAt(gOrd + 1 + j)) into.add(id, c, g, row.getDouble(gOrd + 1 + j))
+        memberCols(set).foreach { case (id, o, avg) =>
+          if (!row.isNullAt(o))
+            into.add(id, c, g, if (avg) row.getDouble(o) / row.getLong(o + 1) else row.getDouble(o))
         }
       }
     }
     into
+  }
+
+  /** `rows` with the rows of each (set, c, g) merged into the first, in
+    * first-seen order. MIN and MAX order NaN above +∞, as Spark does; a
+    * SUM stays NULL until a non-NULL value arrives.
+    */
+  private def merged(rows: Array[InternalRow]): java.util.Collection[InternalRow] = {
+    val groups = new java.util.LinkedHashMap[GroupKey, InternalRow]()
+    rows.foreach { row =>
+      val acc = groups.putIfAbsent(new GroupKey(row, gOrd + 1), row)
+      if (acc != null) gms.indices.foreach { j =>
+        val o = aggCol(j)
+        if (!row.isNullAt(o)) {
+          val v = row.getDouble(o)
+          if (acc.isNullAt(o)) acc.setDouble(o, v)
+          else gms(j).agg match {
+            case AggKind.Sum | AggKind.Avg => acc.setDouble(o, acc.getDouble(o) + v)
+            case AggKind.Min => if (java.lang.Double.compare(v, acc.getDouble(o)) < 0) acc.setDouble(o, v)
+            case AggKind.Max => if (java.lang.Double.compare(v, acc.getDouble(o)) > 0) acc.setDouble(o, v)
+          }
+        }
+        if (gms(j).agg == AggKind.Avg) acc.setLong(o + 1, acc.getLong(o + 1) + row.getLong(o + 1))
+      }
+    }
+    groups.values
   }
 
   /** The aggregate over `df`'s rows. */
@@ -151,8 +216,10 @@ private[repro] final class TrendAggregation(spec: CompareSpec,
         free += 1
         col(s"c$free").as(s"${a}_$side")
     }
+    // An AVG's SUM is NULL exactly when its COUNT is 0: the quotient is then NULL.
+    val v = if (gm.agg == AggKind.Avg) col(s"agg${j + 1}") / col(s"cnt${j + 1}") else col(s"agg${j + 1}")
     agg.filter(col("grouping_id") === set)
-      .select(cs :+ col("g").as(s"__g$side") :+ col(s"agg${j + 1}").as(s"__v$side"): _*)
+      .select(cs :+ col("g").as(s"__g$side") :+ v.as(s"__v$side"): _*)
   }
 }
 
@@ -166,36 +233,39 @@ private[repro] object TrendAggregation {
       .distinctBy { case (ts, gm) => (ts.constraint, gm) }
 }
 
-/** [[CompareTopKExec]]'s trend aggregate run through the Dataset API, its
-  * trends handed off as [[TrendRow]]s: what the UDF baseline marshals.
+/** [[TrendAggregation]]'s aggregate of `spec` over `child` as one logical
+  * operator, which [[CompareStrategy]] plans as it plans the COMPARE
+  * operator's: its rows are partial on a small aggregate, so only
+  * [[TrendAggregation.decode]] reads them. [[TrendCollector]] runs it.
+  */
+private[repro] case class TrendAggregate(spec: CompareSpec, child: LogicalPlan, output: Seq[Attribute])
+  extends UnaryNode {
+
+  override protected def withNewChildInternal(newChild: LogicalPlan): TrendAggregate =
+    copy(child = newChild)
+
+  override lazy val resolved: Boolean = childrenResolved
+  override def producedAttributes: AttributeSet = AttributeSet(output)
+  override lazy val references: AttributeSet = CompareNode.references(spec, child)
+}
+
+private[repro] object TrendAggregate {
+  def apply(spec: CompareSpec, child: LogicalPlan): TrendAggregate =
+    new TrendAggregate(spec, child, new TrendAggregation(spec).plan(child).output)
+}
+
+/** [[CompareTopKExec]]'s trend aggregate, planned as the operator plans it,
+  * its trends handed off as [[TrendRow]]s: what the UDF baseline marshals.
   */
 object TrendCollector {
   def collect(df: DataFrame, spec: CompareSpec): (Seq[TrendRow], Seq[TrendRow]) =
     if (spec.comparableGmPairs.isEmpty) (Nil, Nil) // no trend to build, as in CompareStrategy
     else {
-      val agg = new TrendAggregation(spec)
-      val rows = ReproBridge.executeCollect(agg.over(df))
-      val (side1, side2) = agg.decode(rows, new TrendBuilder(spec, None)).result()
+      val aggregate = TrendAggregate(spec, ReproBridge.analyzedPlan(df))
+      val rows = ReproBridge.executeCollect(ReproBridge.ofRows(df.sparkSession, aggregate))
+      val (side1, side2) = new TrendAggregation(spec).decode(rows, new TrendBuilder(spec, None)).result()
       def handOff(side: Seq[SegTrend]) = side.map(t =>
         TrendRow(t.gm, t.c, t.codes.indices.map(k => t.dict.values(t.codes(k)) -> t.values(k)).toMap))
       (handOff(side1), handOff(side2))
     }
-}
-
-/** [[AggKind]] ↔ Catalyst aggregate function, one function per direction. */
-private[catalyst] object AggFunctions {
-  def of(kind: AggKind, child: Expression): AggregateFunction = kind match {
-    case AggKind.Sum => Sum(child)
-    case AggKind.Avg => Average(child)
-    case AggKind.Min => Min(child)
-    case AggKind.Max => Max(child)
-  }
-
-  def kindOf(fn: AggregateFunction): Option[AggKind] = fn match {
-    case _: Sum     => Some(AggKind.Sum)
-    case _: Average => Some(AggKind.Avg)
-    case _: Min     => Some(AggKind.Min)
-    case _: Max     => Some(AggKind.Max)
-    case _          => None
-  }
 }

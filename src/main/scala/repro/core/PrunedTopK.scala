@@ -45,7 +45,10 @@ object PrunedTopK {
     def summaryBytes: Long = summaryDoubles * 8
   }
 
-  final case class Result(pairs: Seq[ScoredPair], stats: PruneStats)
+  /** The top k and the counters; `boundNanos` is the time [[search]] took
+    * to enumerate, bound and initially prune the pairs (0 without pruning).
+    */
+  final case class Result(pairs: Seq[ScoredPair], stats: PruneStats, boundNanos: Long)
 
   /** Top-k selection over both sides' collected [[TrendRow]]s. Callers pass
     * a symmetric spec's trends once per side, so side 2's rows of a member
@@ -68,6 +71,7 @@ object PrunedTopK {
     */
   def search(spec: CompareSpec, side1: Seq[SegTrend], side2: Seq[SegTrend],
              topK: TopK, cfg: Config = Config()): Result = {
+    val t0 = System.nanoTime()
     val trendCount = (side1.size + side2.size).toLong
     val summaryDoubles = (side1 ++ side2).map(_.segs.length.toLong * 4).sum
 
@@ -122,7 +126,7 @@ object PrunedTopK {
       }
       // Only pairs sharing a grouping value are scored, as the pruning branches count.
       return Result(sortSelect(scored.toSeq),
-        PruneStats(scored.size, 0, 0, 0, tuplesCompared, trendCount, summaryDoubles))
+        PruneStats(scored.size, 0, 0, 0, tuplesCompared, trendCount, summaryDoubles), 0L)
     }
 
     // --- Bound: each pair's segment bounds summed once; optimistic = the
@@ -196,6 +200,7 @@ object PrunedTopK {
     def alive(st: PairState): Boolean = bar.forall(byScore(st.optimistic, _) <= 0)
     val initiallyAlive = pairs.filter(alive)
     val pairsPrunedInitial = pairsTotal - initiallyAlive.size
+    val boundNanos = System.nanoTime() - t0
 
     if (!cfg.useEarlyTermination) {
       // Prune once, then score the survivors exactly.
@@ -205,7 +210,7 @@ object PrunedTopK {
       }
       return Result(sortSelect(scored.toSeq),
         PruneStats(pairsTotal, pairsPrunedInitial, 0, segmentsProcessed,
-          tuplesCompared, trendCount, summaryDoubles))
+          tuplesCompared, trendCount, summaryDoubles), boundNanos)
     }
 
     // --- Early termination (Algorithm 2): refine the most promising pair ---
@@ -229,6 +234,6 @@ object PrunedTopK {
 
     Result(sortSelect(results.toSeq),
       PruneStats(pairsTotal, pairsPrunedInitial, pairsPrunedSearch,
-        segmentsProcessed, tuplesCompared, trendCount, summaryDoubles))
+        segmentsProcessed, tuplesCompared, trendCount, summaryDoubles), boundNanos)
   }
 }

@@ -26,11 +26,13 @@ object TestUtil {
     rows.toMap
   }
 
-  /** Two NaN scores are equal, as are two equal infinities; a NaN against a
-    * number is not.
+  /** Two NaN scores are equal, as are two equal infinities; a NaN or an
+    * infinity against a finite number is not (its relative distance would be
+    * ∞ ≤ ∞).
     */
   def close(a: Double, b: Double): Boolean = a == b || (a.isNaN && b.isNaN) ||
-    math.abs(a - b) <= math.max(1e-9, RelTol * math.max(math.abs(a), math.abs(b)))
+    (!a.isInfinite && !b.isInfinite &&
+      math.abs(a - b) <= math.max(1e-9, RelTol * math.max(math.abs(a), math.abs(b))))
 
   def assertSameResult(a: DataFrame, b: DataFrame, hint: String = ""): Unit = {
     val ka = keyed(a); val kb = keyed(b)

@@ -1,12 +1,15 @@
 package repro.catalyst
 
+import scala.jdk.CollectionConverters._
+
 import org.apache.spark.sql.{DataFrame, ReproBridge, Row}
 import org.apache.spark.sql.catalyst.expressions.EqualTo
 import org.apache.spark.sql.execution.{ExpandExec, FilterExec}
-import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.adaptive.{AdaptiveSparkPlanExec, AdaptiveSparkPlanHelper, ShuffleQueryStageExec}
 import org.apache.spark.sql.execution.aggregate.HashAggregateExec
 import org.apache.spark.sql.execution.columnar.InMemoryTableScanExec
-import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
+import org.apache.spark.sql.functions.{col, hash, lit, pmod, spark_partition_id}
 import org.apache.spark.sql.types._
 import repro.baselines.{MiddlewareBaseline, UdfBaseline}
 import repro.core._
@@ -78,15 +81,49 @@ class CompareExecSpec extends SparkSpec {
     assert(metrics.get("trends").value == 16)
     assert(metrics.get("pairs").value == 8 * 7 / 2)
     assert(metrics.get("tuplesCompared").value > 0)
-    assert(metrics.get.contains("collectTime") && metrics.get.contains("trendTime"))
+    for (phase <- Seq("collectTime", "trendTime", "boundTime", "searchTime"))
+      assert(metrics.get.contains(phase), phase)
   }
 
+  // A small aggregate: its partial rows are merged on the driver, no shuffle.
   test("the trend aggregate is an Expand and a HashAggregate under CompareTopKExec") {
     val df = CompareSession.compare(sales, Specs.symCitiesMulti(), None)
     df.collect()
     val exec = CompareTopKExec.in(df).get
     assert(Plans.collect(exec.child) { case e: ExpandExec => e }.size == 1, exec.treeString)
+    assert(Plans.collect(exec.child) { case a: HashAggregateExec => a }.size == 1, exec.treeString)
+    assert(Plans.collect(exec.child) { case s: ShuffleExchangeExec => s }.isEmpty, exec.treeString)
+  }
+
+  test("a large trend aggregate is partial → Exchange → final under CompareTopKExec") {
+    val df = CompareSession.compare(unsized(sales), Specs.symCitiesMulti(), None)
+    df.collect()
+    val exec = CompareTopKExec.in(df).get
+    assert(Plans.collect(exec.child) { case e: ExpandExec => e }.size == 1, exec.treeString)
     assert(Plans.collect(exec.child) { case a: HashAggregateExec => a }.size == 2, exec.treeString)
+    assert(Plans.collect(exec.child) { case s: ShuffleExchangeExec => s }.size == 1, exec.treeString)
+  }
+
+  test("under adaptive execution only the exchange plan runs a shuffle stage before the operator") {
+    val key = "spark.sql.adaptive.enabled"
+    val before = spark.conf.getOption(key)
+    spark.conf.set(key, "true")
+    try {
+      def stages(input: DataFrame): (DataFrame, Int) = {
+        val df = CompareSession.compare(input, Specs.symCitiesMulti(), None)
+        df.collect()
+        (df, Plans.collect(ReproBridge.executedPlan(df)) { case s: ShuffleQueryStageExec => s }.size)
+      }
+      // No shuffle, so no adaptive plan: the whole aggregate runs inside the
+      // operator's collect, which `collectTime` times.
+      val (small, smallStages) = stages(sales)
+      assert(smallStages == 0, ReproBridge.executedPlan(small).treeString)
+      assert(!ReproBridge.executedPlan(small).isInstanceOf[AdaptiveSparkPlanExec])
+      // The exchange plan's map stage runs before the operator starts.
+      val (large, largeStages) = stages(unsized(sales))
+      assert(largeStages == 1, ReproBridge.executedPlan(large).treeString)
+      TestUtil.assertSameResult(small, large)
+    } finally before.fold(spark.conf.unset(key))(spark.conf.set(key, _))
   }
 
   test("every (g, m) of the merged-aggregate stage reads the materialized aggregate") {
@@ -151,8 +188,27 @@ class CompareExecSpec extends SparkSpec {
     week <- 1 to 4
   } yield Row(city, s"P${(ci + week) % 2}", week, (ci + 1) * week + 0.37 * ci * ci + 0.011 * week * week)
 
-  private def edgeDf(rows: Seq[Row]): DataFrame =
-    spark.createDataFrame(spark.sparkContext.parallelize(rows, 2), edgeSchema)
+  /** `rows` as a local relation: a small estimate, so the driver-merge plan. */
+  private def edgeDf(rows: Seq[Row]): DataFrame = spark.createDataFrame(rows.asJava, edgeSchema)
+
+  /** `df`'s rows behind an RDD, whose size Catalyst does not know (it
+    * assumes the largest): the exchange plan.
+    */
+  private def unsized(df: DataFrame): DataFrame = spark.createDataFrame(df.rdd, df.schema)
+
+  /** `df` and [[unsized]]`(df)`, after checking that they plan the trend
+    * aggregate the two ways: the partial aggregate alone, merged on the
+    * driver, and partial → Exchange → final.
+    */
+  private def bothPlans(df: DataFrame, spec: CompareSpec): Seq[DataFrame] = {
+    val inputs = Seq(df, unsized(df))
+    if (spec.comparableGmPairs.nonEmpty)
+      for ((input, aggregates) <- inputs.zip(Seq(1, 2))) {
+        val exec = CompareTopKExec.in(CompareSession.compare(input, spec, None)).get
+        assert(Plans.collect(exec.child) { case a: HashAggregateExec => a }.size == aggregates, exec.treeString)
+      }
+    inputs
+  }
 
   private val weekSum = GroupingMeasure("week", AggKind.Sum, "revenue")
   private def symCity(gm: GroupingMeasure = weekSum): CompareSpec = {
@@ -170,9 +226,13 @@ class CompareExecSpec extends SparkSpec {
     * the UDF baseline's driver-side `TrendCollector` → Φp and the MIDDLEWARE
     * baseline's per-(g, m) queries → Φp (every pair and top-k each) — and the
     * merged-aggregate stage against the basic plan, which is itself checked
-    * against the DuckDB oracle.
+    * against the DuckDB oracle; on `input` and on the same rows planned
+    * through the other plan of the trend aggregate.
     */
-  private def checkEdge(df: DataFrame, spec: CompareSpec, expectedRows: Long): Unit = {
+  private def checkEdge(input: DataFrame, spec: CompareSpec, expectedRows: Long): Unit =
+    for (df <- bothPlans(input, spec)) checkEdgeOn(df, spec, expectedRows)
+
+  private def checkEdgeOn(df: DataFrame, spec: CompareSpec, expectedRows: Long): Unit = {
     val basic = BasicExec.run(df, spec)
     assert(basic.count() == expectedRows)
     TestUtil.checkOracle(basic, spec, "t", df)
@@ -342,14 +402,15 @@ class CompareExecSpec extends SparkSpec {
   }
 
   /** Φp's top k under every config against the basic plan ordered and
-    * limited. Tied pairs have no defined order in Spark's sort, so each cut
-    * is compared by its row count and the multiset of its scores.
+    * limited, on both plans of the trend aggregate. Tied pairs have no
+    * defined order in Spark's sort, so each cut is compared by its row count
+    * and the multiset of its scores.
     */
-  private def checkTopKScores(df: DataFrame, spec: CompareSpec, ks: Range): Unit = {
+  private def checkTopKScores(input: DataFrame, spec: CompareSpec, ks: Range): Unit = {
     def scores(d: DataFrame): Seq[Double] =
       d.collect().map(_.getAs[Double]("score")).toSeq.sorted(Ordering.Double.TotalOrdering)
-    val basic = BasicExec.run(df, spec)
-    for (k <- ks; asc <- Seq(true, false); cfg <- phiConfigs) {
+    val basic = BasicExec.run(input, spec)
+    for (df <- bothPlans(input, spec); k <- ks; asc <- Seq(true, false); cfg <- phiConfigs) {
       val hint = s"top $k ${if (asc) "ASC" else "DESC"}, $cfg:"
       val expect = scores(basic.orderBy(if (asc) col("score").asc else col("score").desc).limit(k))
       val got = scores(CompareSession.compare(df, spec, Some(TopK(k, asc)), cfg))
@@ -410,6 +471,37 @@ class CompareExecSpec extends SparkSpec {
     df.collect()
     val exec = CompareTopKExec.in(df).get
     assert(Plans.collect(exec.child) { case e: ExpandExec => e }.size == 1, exec.treeString)
+  }
+
+  test("edge: a group spread over partitions merges like Spark's final aggregate") {
+    // Each (city, week) has one row in each of four partitions. (A, 2)'s row
+    // in partition 0 and every row of (D, 4) are NULL; (B, 3) holds NaN and
+    // +∞ in two partitions and (C, 1) −∞ in one: MAX(+∞, NaN) is NaN, and
+    // MIN skips NaN. A, D and E score finite against each other.
+    val parts = spark.range(64).select(col("id"), pmod(hash(col("id").cast("int")), lit(4)).as("p"))
+      .collect().map(r => r.getInt(1) -> r.getLong(0).toInt).groupBy(_._1).map(_._2.head)
+    assert(parts.size == 4)
+    val rows = for {
+      (city, ci) <- Seq("A", "B", "C", "D", "E").zipWithIndex
+      week <- 1 to 4
+      p <- 0 until 4
+    } yield {
+      val v: Any = (city, week, p) match {
+        case ("A", 2, 0) | ("D", 4, _) => null
+        case ("B", 3, 1) => Double.NaN
+        case ("B", 3, 2) => Double.PositiveInfinity
+        case ("C", 1, 2) => Double.NegativeInfinity
+        case _ => (ci + 1) * week + 0.37 * ci * ci + 0.011 * week * week + 0.13 * p * (ci + 1)
+      }
+      Row(city, "P0", week, v, parts(p))
+    }
+    val schema = edgeSchema.add(StructField("part", IntegerType))
+    val df = spark.createDataFrame(rows.asJava, schema).repartition(4, col("part"))
+    assert(df.select(spark_partition_id(), col("part")).distinct().count() == 4)
+    assert(df.select(spark_partition_id()).distinct().count() == 4)
+    val ts = TrendsetSpec(Seq(ConstraintTerm("city", None)),
+      AggKind.all.map(GroupingMeasure("week", _, "revenue")))
+    checkEdge(df, CompareSpec(ts, ts, Specs.scorer()), 4 * 5 * 4 / 2)
   }
 
   test("operator resolves columns case-insensitively") {
