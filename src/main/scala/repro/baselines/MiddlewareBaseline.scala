@@ -34,7 +34,7 @@ object MiddlewareBaseline {
     val totalBytes = TrendAggregation.members(spec).map { member =>
       val agg = new TrendAggregation(spec, Seq(member))
       val (rows, bytes) = UdfBaseline.roundTrip(ReproBridge.executeCollect(agg.over(df)))
-      agg.decode(rows, trends)
+      agg.decode(rows, partial = false, trends)
       bytes
     }.sum
     val transferSeconds = totalBytes / (bandwidthMBps * 1e6)

@@ -3,7 +3,6 @@ package repro.catalyst
 import org.apache.spark.sql.{ReproBridge, SparkSession}
 import org.apache.spark.sql.catalyst.plans.logical.{LogicalPlan, UnaryNode}
 import org.apache.spark.sql.execution.{LocalTableScanExec, SparkPlan, SparkStrategy}
-import org.apache.spark.sql.execution.aggregate.BaseAggregateExec
 import repro.core.CompareSpec
 
 /** Plans the COMPARE logical operator into [[CompareTopKExec]] over the
@@ -13,12 +12,19 @@ import repro.core.CompareSpec
   * pass. A spec with no comparable (g, m) pair has no trend to build and
   * plans as an empty relation, as the basic plan returns one.
   *
-  * The aggregate is planned one of two ways, by Catalyst's size estimate
-  * of its output:
-  *  - small (up to [[CompareStrategy.DriverMergeBytes]]): only the map-side
-  *    partial aggregate, whose rows the operator collects and merges on the
-  *    driver ([[TrendAggregation.decode]]): one stage, no shuffle;
-  *  - large: partial aggregate → hash `Exchange` → final aggregate.
+  * Only the aggregate's map side is planned: the partial aggregate, whose
+  * rows the operator collects and merges on the driver
+  * ([[TrendAggregation.decode]]), so a COMPARE query runs as one stage with
+  * no shuffle. The operator collects every trend point anyway; the partial
+  * rows add at most one row per group and input partition.
+  *
+  * Basis: Flight Q4 (10 AVG (g, m)s), Spark `local[4]` with cmpbench's
+  * session settings on a 4-core box, median of 21 queries after 15 warm-up
+  * ones, two runs, the partial aggregate merged on the driver vs partial →
+  * hash `Exchange` → final aggregate: 40 airports × 61 days × 4 rows
+  * (estimate 3 MB) 130–164 vs 219–226 ms; 40 × 61 × 16 (12 MB) 125–129 vs
+  * 208–212 ms; 40 × 366 × 4 (18 MB) 137–146 vs 209–235 ms; 40 × 366 × 16
+  * (72 MB) 309–345 vs 330–418 ms. No measured shape favoured the exchange.
   *
   * [[TrendAggregate]], the aggregate on its own, is planned the same way.
   */
@@ -31,44 +37,18 @@ class CompareStrategy(spark: SparkSession) extends SparkStrategy {
     case _ => Nil
   }
 
-  /** `spec`'s trend aggregate over `node`'s child, in either plan. */
+  /** `spec`'s partial trend aggregate over `node`'s child. */
   private def trends(spec: CompareSpec, node: UnaryNode): SparkPlan = {
-    val logical = new TrendAggregation(spec).plan(node.child)
-    val exec = ReproBridge.planner(spark).plan(logical).next() match {
-      // Spark plans the final aggregate right over the partial one; the
-      // Exchange between them comes later (EnsureRequirements).
-      case fin: BaseAggregateExec if logical.stats.sizeInBytes <= CompareStrategy.DriverMergeBytes => fin.child
-      case fin => fin
-    }
+    // Spark plans the final aggregate right over the partial one, its only
+    // child; the Exchange between them would come later (EnsureRequirements).
+    val exec = ReproBridge.planner(spark).plan(new TrendAggregation(spec).plan(node.child)).next().children.head
     // The aggregate's logical nodes are not in the query's logical plan, so
-    // the physical nodes that came from them are linked to `node`: adaptive
-    // execution then maps the aggregate's shuffle stage back to it instead of
-    // re-planning the query after every stage.
+    // the physical nodes that came from them are linked to `node`: each
+    // node of the plan then links into the logical plan that adaptive
+    // execution re-plans the query from.
     exec.foreach { p =>
       if (!p.logicalLink.exists(l => node.child.exists(_ eq l))) p.setTagValue(SparkPlan.LOGICAL_PLAN_TAG, node)
     }
     exec
   }
-}
-
-object CompareStrategy {
-  /** The largest estimated trend aggregate that is merged on the driver:
-    * Spark's own default bound for moving a relation to one place
-    * (`spark.sql.autoBroadcastJoinThreshold`, 10 MB), kept as a constant.
-    * The estimate bounds the partial rows that one driver thread collects
-    * and merges.
-    *
-    * Basis: Flight Q4 (10 AVG (g, m)s) timed with each plan forced, Spark
-    * `local[4]` with cmpbench's session settings on a 4-core box, median of
-    * 21 queries after 15 warm-up ones, two runs (driver-merge vs exchange):
-    *  - 40 airports × 61 days × 4 rows, 3 MB: 130–164 vs 219–226 ms;
-    *  - 40 × 61 × 16, 12 MB: 125–129 vs 208–212 ms;
-    *  - 40 × 366 × 4, 18 MB: 137–146 vs 209–235 ms;
-    *  - 40 × 366 × 16, 72 MB: 309–345 vs 330–418 ms, where the driver's
-    *    merge and build take 62–63 ms against the final rows' 21–28 ms.
-    * The gain shrinks as partial rows grow; no measured shape put the
-    * crossover below 72 MB, so 10 MB keeps to the side where the driver
-    * merge wins clearly.
-    */
-  val DriverMergeBytes: BigInt = BigInt(10L << 20)
 }

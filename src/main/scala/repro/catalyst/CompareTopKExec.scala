@@ -12,18 +12,17 @@ import repro.core.TrendModel.TrendBuilder
 
 /** The COMPARE physical operator Φp (§5.3) as a Spark `UnaryExecNode`.
   *
-  * It collects its child, the trend aggregate of [[TrendAggregation]] in
-  * either of [[CompareStrategy]]'s plans (the partial aggregate alone, or
-  * partial → Exchange → final), merges and decodes the rows into trends on
-  * the driver ([[repro.core.TrendModel.TrendBuilder]]) and hands them to
+  * It collects its child, the map-side partial trend aggregate of
+  * [[TrendAggregation]] ([[CompareStrategy]]), merges and decodes the rows
+  * into trends on the driver ([[repro.core.TrendModel.TrendBuilder]]) and
+  * hands them to
   * [[PrunedTopK]]: with a fused top-k the bound→prune + early-termination
   * algorithm runs as `cfg` configures it; without one all pairs are scored
   * trendwise. Its metrics time the four phases (`collectTime`, `trendTime`,
-  * `boundTime`, `searchTime`). On the exchange plan under adaptive
-  * execution the aggregate's shuffle map stage runs before `collectTime`
-  * starts; the partial-only plan has no shuffle, so `collectTime` covers
-  * the whole aggregate. `executeCollect` returns the result rows directly,
-  * so a COMPARE query is one Spark job.
+  * `boundTime`, `searchTime`); the aggregate has no shuffle, so
+  * `collectTime` covers all of it, under adaptive execution too.
+  * `executeCollect` returns the result rows directly, so a COMPARE query is
+  * one Spark job.
   */
 case class CompareTopKExec(
     spec: CompareSpec,
@@ -55,7 +54,7 @@ case class CompareTopKExec(
     val t0 = System.nanoTime()
     val rows = child.executeCollect()
     val t1 = System.nanoTime()
-    val trends = new TrendAggregation(spec).decode(rows, new TrendBuilder(spec, cfg.numSegments))
+    val trends = new TrendAggregation(spec).decode(rows, partial = true, new TrendBuilder(spec, cfg.numSegments))
     val (side1, side2) = trends.result()
     val t2 = System.nanoTime()
     val res = topK.fold(PrunedTopK.search(spec, side1, side2, TopK(Int.MaxValue, ascending = true),

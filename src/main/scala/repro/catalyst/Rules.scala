@@ -175,14 +175,7 @@ object ReduceToCompare extends Rule[LogicalPlan] {
   /** A non-distinct `AGG(x)`: its kind and its (stripped) argument. */
   private def aggOf(e: Expression): Option[(AggKind, Expression)] = strip(e) match {
     case AggregateExpression(fn, _, false, _, _) =>
-      val kind = fn match {
-        case _: Sum     => Some(AggKind.Sum)
-        case _: Average => Some(AggKind.Avg)
-        case _: Min     => Some(AggKind.Min)
-        case _: Max     => Some(AggKind.Max)
-        case _          => None
-      }
-      kind.map(_ -> strip(fn.children.head))
+      AggFunctions.kindOf(fn).map(_ -> strip(fn.children.head))
     case _ => None
   }
 

@@ -3,12 +3,13 @@ package repro.catalyst
 import java.util.Objects
 
 import scala.collection.immutable.VectorMap
+import scala.jdk.CollectionConverters._
 
 import org.apache.spark.sql.{DataFrame, ReproBridge}
 import org.apache.spark.sql.functions.{col, lit}
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.catalyst.expressions._
-import org.apache.spark.sql.catalyst.expressions.aggregate.{Count, Max, Min, Sum}
+import org.apache.spark.sql.catalyst.expressions.aggregate.{AggregateExpression, AggregateFunction, Average, Max, Min, Sum}
 import org.apache.spark.sql.catalyst.plans.logical.{Aggregate, Expand, Filter, LogicalPlan, Project, UnaryNode}
 import org.apache.spark.sql.internal.SQLConf
 import org.apache.spark.sql.types.{BooleanType, DataType, DoubleType, IntegerType, StringType}
@@ -50,12 +51,11 @@ private final class GroupKey(private val row: InternalRow, n: Int) {
   * of its (g, m). The layout depends on the spec and `members` alone: [[plan]]
   * builds the aggregate, and [[decode]] and [[trendRel]] read its rows.
   *
-  * Every aggregate is one whose partial buffer is its final value: SUM, MIN
-  * and MAX, and AVG as a SUM and a COUNT that the readers divide. So the
-  * rows of the map-side partial aggregate have the layout of the final
-  * aggregate's, and [[decode]] reads either: [[CompareStrategy]] hands the
-  * COMPARE operator the partial rows of a small aggregate to merge on the
-  * driver.
+  * The COMPARE operator reads the rows of the map-side partial aggregate
+  * ([[CompareStrategy]]), which [[decode]] merges on the driver: there a
+  * SUM, MIN or MAX is its value and an AVG its sum and count (Spark's
+  * `Average` buffer). [[over]] runs the whole aggregate, whose final rows
+  * hold one value per (g, m).
   *
   * `members` are the (trendset, (g, m))s to aggregate: by default the
   * comparable ones of the spec; the merged-aggregate ablation stage
@@ -80,14 +80,16 @@ private[repro] final class TrendAggregation(spec: CompareSpec,
   private val nC = templates.map(_.count(_.isFree)).max
   /** The ordinal of `g`; the aggregate columns follow it. */
   private val gOrd = 1 + nC
-  /** Each (g, m)'s aggregate column; an AVG's COUNT is the next one. */
-  private val aggCol: Array[Int] =
-    gms.scanLeft(gOrd + 1)((o, gm) => o + (if (gm.agg == AggKind.Avg) 2 else 1)).init.toArray
+  /** Each (g, m)'s column in a final or a partial row; in a partial row an
+    * AVG's count follows its sum.
+    */
+  private def aggCols(partial: Boolean): Array[Int] =
+    gms.scanLeft(gOrd + 1)((o, gm) => o + (if (partial && gm.agg == AggKind.Avg) 2 else 1)).init.toArray
 
   /** The aggregate over `child`, with output `grouping_id, c_1..c_n, g`,
-    * then per (g, m) `agg_j` (and an AVG's `cnt_j`).
+    * then per (g, m) `agg_j`.
     */
-  def plan(child: LogicalPlan): LogicalPlan = {
+  def plan(child: LogicalPlan): Aggregate = {
     val tz = Option(SQLConf.get.sessionLocalTimeZone)
     def attr(name: String): Attribute =
       child.output.find(_.name.equalsIgnoreCase(name)).getOrElse(throw new IllegalArgumentException(
@@ -130,30 +132,26 @@ private[repro] final class TrendAggregation(spec: CompareSpec,
     val groupBy = gid +: cSlots :+ gSlot
     val expand = Expand(projections, groupBy ++ vSlots ++ keep, project)
     val input = keep.fold[LogicalPlan](expand)(Filter(_, expand))
-    val aggs = gms.zip(vSlots).zipWithIndex.flatMap { case ((gm, v), j) =>
-      val fns = gm.agg match {
-        case AggKind.Sum => Seq("agg" -> Sum(v))
-        case AggKind.Avg => Seq("agg" -> Sum(v), "cnt" -> Count(v))
-        case AggKind.Min => Seq("agg" -> Min(v))
-        case AggKind.Max => Seq("agg" -> Max(v))
-      }
-      fns.map { case (name, fn) => Alias(fn.toAggregateExpression(), s"$name${j + 1}")() }
+    val aggs = gms.zip(vSlots).zipWithIndex.map { case ((gm, v), j) =>
+      Alias(AggFunctions.of(gm.agg, v).toAggregateExpression(), s"agg${j + 1}")()
     }
     Aggregate(groupBy, groupBy ++ aggs, input, None)
   }
 
-  /** The aggregate's rows, final or partial, as trend points into `into`,
-    * which it returns. The rows of one (set, c, g) are merged first: the
-    * partial aggregate repeats a group once per task that saw it, the final
-    * one never does. A NULL grouping value belongs to no trend; a NULL
-    * aggregate (every measure NULL) is no point of its trend. `rows` are
-    * consumed: a group's rows are merged into its first.
+  /** The aggregate's rows as trend points into `into`, which it returns.
+    * `partial` rows repeat a (set, c, g) once per task that saw it: they are
+    * merged first (and consumed: a group's rows are merged into its first),
+    * and an AVG is its sum over its count. Final rows are read as they are.
+    * A NULL grouping value belongs to no trend; a NULL aggregate (every
+    * measure NULL) is no point of its trend.
     */
-  def decode(rows: Array[InternalRow], into: TrendBuilder): TrendBuilder = {
-    // Per set: each member's trend builder id, aggregate column and AVG flag.
+  def decode(rows: Array[InternalRow], partial: Boolean, into: TrendBuilder): TrendBuilder = {
+    val cols = aggCols(partial)
+    // Per set: each member's trend builder id, column and whether it is a sum and a count.
     val memberCols = sets.map(set => set.members.map(j =>
-      (into.member(templates(set.side), gms(j)), aggCol(j), gms(j).agg == AggKind.Avg)).toArray).toArray
-    merged(rows).forEach { row =>
+      (into.member(templates(set.side), gms(j)), cols(j), partial && gms(j).agg == AggKind.Avg)).toArray).toArray
+    val groups = if (partial) merged(rows, cols).iterator.asScala else rows.iterator
+    groups.foreach { row =>
       val set = row.getInt(0)
       if (!row.isNullAt(gOrd)) {
         val g = row.getUTF8String(gOrd).toString
@@ -162,25 +160,26 @@ private[repro] final class TrendAggregation(spec: CompareSpec,
           free += 1
           if (row.isNullAt(free)) null else row.getUTF8String(free).toString
         })
-        memberCols(set).foreach { case (id, o, avg) =>
-          if (!row.isNullAt(o))
-            into.add(id, c, g, if (avg) row.getDouble(o) / row.getLong(o + 1) else row.getDouble(o))
+        memberCols(set).foreach { case (id, o, sumCount) =>
+          if (sumCount) { if (row.getLong(o + 1) > 0) into.add(id, c, g, row.getDouble(o) / row.getLong(o + 1)) }
+          else if (!row.isNullAt(o)) into.add(id, c, g, row.getDouble(o))
         }
       }
     }
     into
   }
 
-  /** `rows` with the rows of each (set, c, g) merged into the first, in
-    * first-seen order. MIN and MAX order NaN above +∞, as Spark does; a
-    * SUM stays NULL until a non-NULL value arrives.
+  /** Partial `rows`, aggregate columns `cols`, with the rows of each
+    * (set, c, g) merged into the first, in first-seen order, as Spark's
+    * final aggregate merges them: MIN and MAX order NaN above +∞, a SUM
+    * stays NULL until a non-NULL value arrives, and AVG counts add.
     */
-  private def merged(rows: Array[InternalRow]): java.util.Collection[InternalRow] = {
+  private def merged(rows: Array[InternalRow], cols: Array[Int]): java.util.Collection[InternalRow] = {
     val groups = new java.util.LinkedHashMap[GroupKey, InternalRow]()
     rows.foreach { row =>
       val acc = groups.putIfAbsent(new GroupKey(row, gOrd + 1), row)
       if (acc != null) gms.indices.foreach { j =>
-        val o = aggCol(j)
+        val o = cols(j)
         if (!row.isNullAt(o)) {
           val v = row.getDouble(o)
           if (acc.isNullAt(o)) acc.setDouble(o, v)
@@ -216,10 +215,8 @@ private[repro] final class TrendAggregation(spec: CompareSpec,
         free += 1
         col(s"c$free").as(s"${a}_$side")
     }
-    // An AVG's SUM is NULL exactly when its COUNT is 0: the quotient is then NULL.
-    val v = if (gm.agg == AggKind.Avg) col(s"agg${j + 1}") / col(s"cnt${j + 1}") else col(s"agg${j + 1}")
     agg.filter(col("grouping_id") === set)
-      .select(cs :+ col("g").as(s"__g$side") :+ v.as(s"__v$side"): _*)
+      .select(cs :+ col("g").as(s"__g$side") :+ col(s"agg${j + 1}").as(s"__v$side"): _*)
   }
 }
 
@@ -235,8 +232,8 @@ private[repro] object TrendAggregation {
 
 /** [[TrendAggregation]]'s aggregate of `spec` over `child` as one logical
   * operator, which [[CompareStrategy]] plans as it plans the COMPARE
-  * operator's: its rows are partial on a small aggregate, so only
-  * [[TrendAggregation.decode]] reads them. [[TrendCollector]] runs it.
+  * operator's: its output is the partial aggregate's, the grouping columns
+  * and each aggregate's buffer. [[TrendCollector]] runs it.
   */
 private[repro] case class TrendAggregate(spec: CompareSpec, child: LogicalPlan, output: Seq[Attribute])
   extends UnaryNode {
@@ -250,8 +247,12 @@ private[repro] case class TrendAggregate(spec: CompareSpec, child: LogicalPlan, 
 }
 
 private[repro] object TrendAggregate {
-  def apply(spec: CompareSpec, child: LogicalPlan): TrendAggregate =
-    new TrendAggregate(spec, child, new TrendAggregation(spec).plan(child).output)
+  def apply(spec: CompareSpec, child: LogicalPlan): TrendAggregate = {
+    val agg = new TrendAggregation(spec).plan(child)
+    new TrendAggregate(spec, child, agg.groupingExpressions.collect { case a: Attribute => a } ++
+      agg.aggregateExpressions.flatMap(_.collect { case e: AggregateExpression => e.aggregateFunction }
+        .flatMap(_.aggBufferAttributes)))
+  }
 }
 
 /** [[CompareTopKExec]]'s trend aggregate, planned as the operator plans it,
@@ -263,9 +264,27 @@ object TrendCollector {
     else {
       val aggregate = TrendAggregate(spec, ReproBridge.analyzedPlan(df))
       val rows = ReproBridge.executeCollect(ReproBridge.ofRows(df.sparkSession, aggregate))
-      val (side1, side2) = new TrendAggregation(spec).decode(rows, new TrendBuilder(spec, None)).result()
+      val (side1, side2) = new TrendAggregation(spec).decode(rows, partial = true, new TrendBuilder(spec, None)).result()
       def handOff(side: Seq[SegTrend]) = side.map(t =>
         TrendRow(t.gm, t.c, t.codes.indices.map(k => t.dict.values(t.codes(k)) -> t.values(k)).toMap))
       (handOff(side1), handOff(side2))
     }
+}
+
+/** [[AggKind]] ↔ Catalyst aggregate function, one function per direction. */
+private[catalyst] object AggFunctions {
+  def of(kind: AggKind, child: Expression): AggregateFunction = kind match {
+    case AggKind.Sum => Sum(child)
+    case AggKind.Avg => Average(child)
+    case AggKind.Min => Min(child)
+    case AggKind.Max => Max(child)
+  }
+
+  def kindOf(fn: AggregateFunction): Option[AggKind] = fn match {
+    case _: Sum     => Some(AggKind.Sum)
+    case _: Average => Some(AggKind.Avg)
+    case _: Min     => Some(AggKind.Min)
+    case _: Max     => Some(AggKind.Max)
+    case _          => None
+  }
 }

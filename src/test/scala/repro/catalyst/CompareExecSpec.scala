@@ -85,44 +85,36 @@ class CompareExecSpec extends SparkSpec {
       assert(metrics.get.contains(phase), phase)
   }
 
-  // A small aggregate: its partial rows are merged on the driver, no shuffle.
+  /** `df`'s rows behind an RDD, whose size Catalyst does not know (it
+    * assumes the largest).
+    */
+  private def unsized(df: DataFrame): DataFrame = spark.createDataFrame(df.rdd, df.schema)
+
+  // The partial aggregate alone, whose rows are merged on the driver: no
+  // shuffle, whatever the size estimate of the input.
   test("the trend aggregate is an Expand and a HashAggregate under CompareTopKExec") {
-    val df = CompareSession.compare(sales, Specs.symCitiesMulti(), None)
-    df.collect()
-    val exec = CompareTopKExec.in(df).get
-    assert(Plans.collect(exec.child) { case e: ExpandExec => e }.size == 1, exec.treeString)
-    assert(Plans.collect(exec.child) { case a: HashAggregateExec => a }.size == 1, exec.treeString)
-    assert(Plans.collect(exec.child) { case s: ShuffleExchangeExec => s }.isEmpty, exec.treeString)
+    for (input <- Seq(sales, unsized(sales))) {
+      val df = CompareSession.compare(input, Specs.symCitiesMulti(), None)
+      df.collect()
+      val exec = CompareTopKExec.in(df).get
+      assert(Plans.collect(exec.child) { case e: ExpandExec => e }.size == 1, exec.treeString)
+      assert(Plans.collect(exec.child) { case a: HashAggregateExec => a }.size == 1, exec.treeString)
+      assert(Plans.collect(exec.child) { case s: ShuffleExchangeExec => s }.isEmpty, exec.treeString)
+    }
   }
 
-  test("a large trend aggregate is partial → Exchange → final under CompareTopKExec") {
-    val df = CompareSession.compare(unsized(sales), Specs.symCitiesMulti(), None)
-    df.collect()
-    val exec = CompareTopKExec.in(df).get
-    assert(Plans.collect(exec.child) { case e: ExpandExec => e }.size == 1, exec.treeString)
-    assert(Plans.collect(exec.child) { case a: HashAggregateExec => a }.size == 2, exec.treeString)
-    assert(Plans.collect(exec.child) { case s: ShuffleExchangeExec => s }.size == 1, exec.treeString)
-  }
-
-  test("under adaptive execution only the exchange plan runs a shuffle stage before the operator") {
+  test("under adaptive execution no shuffle stage runs before the operator") {
     val key = "spark.sql.adaptive.enabled"
     val before = spark.conf.getOption(key)
     spark.conf.set(key, "true")
-    try {
-      def stages(input: DataFrame): (DataFrame, Int) = {
-        val df = CompareSession.compare(input, Specs.symCitiesMulti(), None)
-        df.collect()
-        (df, Plans.collect(ReproBridge.executedPlan(df)) { case s: ShuffleQueryStageExec => s }.size)
-      }
+    try for (input <- Seq(sales, unsized(sales))) {
       // No shuffle, so no adaptive plan: the whole aggregate runs inside the
       // operator's collect, which `collectTime` times.
-      val (small, smallStages) = stages(sales)
-      assert(smallStages == 0, ReproBridge.executedPlan(small).treeString)
-      assert(!ReproBridge.executedPlan(small).isInstanceOf[AdaptiveSparkPlanExec])
-      // The exchange plan's map stage runs before the operator starts.
-      val (large, largeStages) = stages(unsized(sales))
-      assert(largeStages == 1, ReproBridge.executedPlan(large).treeString)
-      TestUtil.assertSameResult(small, large)
+      val df = CompareSession.compare(input, Specs.symCitiesMulti(), None)
+      df.collect()
+      val plan = ReproBridge.executedPlan(df)
+      assert(Plans.collect(plan) { case s: ShuffleQueryStageExec => s }.isEmpty, plan.treeString)
+      assert(!plan.isInstanceOf[AdaptiveSparkPlanExec], plan.treeString)
     } finally before.fold(spark.conf.unset(key))(spark.conf.set(key, _))
   }
 
@@ -188,27 +180,9 @@ class CompareExecSpec extends SparkSpec {
     week <- 1 to 4
   } yield Row(city, s"P${(ci + week) % 2}", week, (ci + 1) * week + 0.37 * ci * ci + 0.011 * week * week)
 
-  /** `rows` as a local relation: a small estimate, so the driver-merge plan. */
-  private def edgeDf(rows: Seq[Row]): DataFrame = spark.createDataFrame(rows.asJava, edgeSchema)
-
-  /** `df`'s rows behind an RDD, whose size Catalyst does not know (it
-    * assumes the largest): the exchange plan.
-    */
-  private def unsized(df: DataFrame): DataFrame = spark.createDataFrame(df.rdd, df.schema)
-
-  /** `df` and [[unsized]]`(df)`, after checking that they plan the trend
-    * aggregate the two ways: the partial aggregate alone, merged on the
-    * driver, and partial → Exchange → final.
-    */
-  private def bothPlans(df: DataFrame, spec: CompareSpec): Seq[DataFrame] = {
-    val inputs = Seq(df, unsized(df))
-    if (spec.comparableGmPairs.nonEmpty)
-      for ((input, aggregates) <- inputs.zip(Seq(1, 2))) {
-        val exec = CompareTopKExec.in(CompareSession.compare(input, spec, None)).get
-        assert(Plans.collect(exec.child) { case a: HashAggregateExec => a }.size == aggregates, exec.treeString)
-      }
-    inputs
-  }
+  /** `rows` in two partitions, so a group's partial rows can meet on the driver. */
+  private def edgeDf(rows: Seq[Row]): DataFrame =
+    spark.createDataFrame(spark.sparkContext.parallelize(rows, 2), edgeSchema)
 
   private val weekSum = GroupingMeasure("week", AggKind.Sum, "revenue")
   private def symCity(gm: GroupingMeasure = weekSum): CompareSpec = {
@@ -226,13 +200,9 @@ class CompareExecSpec extends SparkSpec {
     * the UDF baseline's driver-side `TrendCollector` → Φp and the MIDDLEWARE
     * baseline's per-(g, m) queries → Φp (every pair and top-k each) — and the
     * merged-aggregate stage against the basic plan, which is itself checked
-    * against the DuckDB oracle; on `input` and on the same rows planned
-    * through the other plan of the trend aggregate.
+    * against the DuckDB oracle.
     */
-  private def checkEdge(input: DataFrame, spec: CompareSpec, expectedRows: Long): Unit =
-    for (df <- bothPlans(input, spec)) checkEdgeOn(df, spec, expectedRows)
-
-  private def checkEdgeOn(df: DataFrame, spec: CompareSpec, expectedRows: Long): Unit = {
+  private def checkEdge(df: DataFrame, spec: CompareSpec, expectedRows: Long): Unit = {
     val basic = BasicExec.run(df, spec)
     assert(basic.count() == expectedRows)
     TestUtil.checkOracle(basic, spec, "t", df)
@@ -402,15 +372,14 @@ class CompareExecSpec extends SparkSpec {
   }
 
   /** Φp's top k under every config against the basic plan ordered and
-    * limited, on both plans of the trend aggregate. Tied pairs have no
-    * defined order in Spark's sort, so each cut is compared by its row count
-    * and the multiset of its scores.
+    * limited. Tied pairs have no defined order in Spark's sort, so each cut
+    * is compared by its row count and the multiset of its scores.
     */
-  private def checkTopKScores(input: DataFrame, spec: CompareSpec, ks: Range): Unit = {
+  private def checkTopKScores(df: DataFrame, spec: CompareSpec, ks: Range): Unit = {
     def scores(d: DataFrame): Seq[Double] =
       d.collect().map(_.getAs[Double]("score")).toSeq.sorted(Ordering.Double.TotalOrdering)
-    val basic = BasicExec.run(input, spec)
-    for (df <- bothPlans(input, spec); k <- ks; asc <- Seq(true, false); cfg <- phiConfigs) {
+    val basic = BasicExec.run(df, spec)
+    for (k <- ks; asc <- Seq(true, false); cfg <- phiConfigs) {
       val hint = s"top $k ${if (asc) "ASC" else "DESC"}, $cfg:"
       val expect = scores(basic.orderBy(if (asc) col("score").asc else col("score").desc).limit(k))
       val got = scores(CompareSession.compare(df, spec, Some(TopK(k, asc)), cfg))
